@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "core/eval_key.hpp"
+#include "obs/metrics.hpp"
 #include "sizing/sizer.hpp"
 #include "store/record_io.hpp"
 #include "store/store.hpp"
@@ -92,10 +93,13 @@ int main() {
   client.close();
   server.begin_drain();
   server_thread.join();
-  const svc::ServerStats stats = server.stats();
-  std::printf("drained: %llu requests, %llu ok (store persisted at %s)\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.responses_ok),
+  // The server's counters live in the process-wide metrics registry.
+  auto counters = obs::snapshot().counters;
+  std::printf("drained: %llu requests, %llu computed, %llu from memory "
+              "(store persisted at %s)\n",
+              static_cast<unsigned long long>(counters["svc.requests"]),
+              static_cast<unsigned long long>(counters["svc.served_computed"]),
+              static_cast<unsigned long long>(counters["svc.served_memory"]),
               store_path.c_str());
   return 0;
 }

@@ -6,10 +6,9 @@
 // Fig. 5, Table II, Table III and Table V can share a single expensive
 // computation.
 //
-// Historically this lived in bench/common; it moved under src/ so the
-// scheduler daemon (src/sched) can execute the exact same campaign unit the
-// benches do — same seeds, same checkpoints, same CSV bytes. bench/common
-// keeps a thin shim header for the bench binaries.
+// It lives under src/ (not bench/) so the scheduler daemon (src/sched) can
+// execute the exact same campaign unit the benches do — same seeds, same
+// checkpoints, same CSV bytes.
 
 #include <cstddef>
 #include <cstdint>

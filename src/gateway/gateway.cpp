@@ -2,14 +2,11 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <stdexcept>
 
 #include "api/json.hpp"
 #include "obs/metrics.hpp"
@@ -22,21 +19,31 @@ namespace intooa::gateway {
 
 namespace {
 
-/// Poll slice for connection reads, matching svc::Server: short enough
-/// that a drain is observed promptly, long enough to stay cheap.
-constexpr int kPollSliceMs = 100;
+using svc::kPollSliceMs;
 
 obs::Counter& requests_counter() {
   static obs::Counter& c = obs::registry().counter("gateway.requests");
   return c;
 }
-obs::Counter& connections_counter() {
-  static obs::Counter& c = obs::registry().counter("gateway.connections");
-  return c;
-}
 obs::Counter& errors_counter() {
   static obs::Counter& c = obs::registry().counter("gateway.errors");
   return c;
+}
+obs::Counter& parse_errors_counter() {
+  static obs::Counter& c = obs::registry().counter("gateway.parse_errors");
+  return c;
+}
+/// 408s: slowloris grace expiries.
+obs::Counter& timeouts_counter() {
+  static obs::Counter& c = obs::registry().counter("gateway.timeouts");
+  return c;
+}
+/// Responses by status class: '2', '4' or '5'.
+obs::Counter& responses_counter(char status_class) {
+  static obs::Counter& c2xx = obs::registry().counter("gateway.responses_2xx");
+  static obs::Counter& c4xx = obs::registry().counter("gateway.responses_4xx");
+  static obs::Counter& c5xx = obs::registry().counter("gateway.responses_5xx");
+  return status_class == '2' ? c2xx : status_class == '4' ? c4xx : c5xx;
 }
 obs::Histogram& request_histogram() {
   static obs::Histogram& h =
@@ -84,7 +91,31 @@ ssize_t read_some(int fd, char* out, std::size_t capacity, int timeout_ms) {
 
 }  // namespace
 
-Gateway::Gateway(GatewayConfig config) : config_(std::move(config)) {
+Gateway::Gateway(GatewayConfig config)
+    : config_(std::move(config)),
+      host_({"gateway", config_.listen, config_.max_connections,
+             config_.drain_linger_ms},
+            {.serve =
+                 [this](svc::Fd fd, std::string peer) {
+                   handle_connection(std::move(fd), std::move(peer));
+                 },
+             .reject =
+                 [this](int fd) {
+                   // Connection-level backpressure: one 503 + Retry-After.
+                   HttpResponse busy = drain_response();
+                   busy.body = api::error_to_json(
+                                   api::Error{api::ErrorCode::Busy,
+                                              "gateway connection limit "
+                                              "reached",
+                                              0})
+                                   .dump();
+                   svc::write_all(fd, render_response(busy, false));
+                   count_response(busy.status);
+                 },
+             .linger =
+                 [this](svc::Fd fd) {
+                   handle_drain_connection(std::move(fd));
+                 }}) {
   api::SessionConfig session;
   session.evaluators = config_.evaluators;
   session.scheduler = config_.scheduler;
@@ -92,21 +123,9 @@ Gateway::Gateway(GatewayConfig config) : config_(std::move(config)) {
   session_ = std::make_unique<api::Session>(std::move(session));
 }
 
-Gateway::~Gateway() {
-  begin_drain();
-  join_all_connections();
-}
-
 void Gateway::bind() {
-  if (listen_fd_.valid()) return;
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error(std::string("gateway: pipe: ") +
-                             std::strerror(errno));
-  }
-  wake_rx_ = svc::Fd(pipe_fds[0]);
-  wake_tx_ = svc::Fd(pipe_fds[1]);
-  listen_fd_ = svc::listen_on(config_.listen);
+  if (host_.bound()) return;
+  host_.bind();
   start_ns_ = obs::detail::monotonic_ns();
   if (!config_.access_log.empty()) {
     access_log_.open(config_.access_log, std::ios::app);
@@ -127,170 +146,25 @@ void Gateway::bind() {
 
 void Gateway::run() {
   bind();
-  while (!draining()) {
-    struct pollfd fds[2];
-    fds[0] = {listen_fd_.get(), POLLIN, 0};
-    fds[1] = {wake_rx_.get(), POLLIN, 0};
-    const int got = ::poll(fds, 2, 1000);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      util::log_error(std::string("gateway: accept poll: ") +
-                      std::strerror(errno));
-      break;
-    }
-    if (got == 0) continue;
-    if (fds[1].revents != 0) {
-      begin_drain();
-      break;
-    }
-    if (fds[0].revents == 0) continue;
-    svc::Fd client(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!client.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      util::log_error(std::string("gateway: accept: ") +
-                      std::strerror(errno));
-      continue;
-    }
-    if (open_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      // Connection-level backpressure: one 503 + Retry-After, then close.
-      HttpResponse busy = drain_response();
-      busy.body = api::error_to_json(
-                      api::Error{api::ErrorCode::Busy,
-                                 "gateway connection limit reached",
-                                 0})
-                      .dump();
-      svc::write_all(client.get(), render_response(busy, false));
-      count_response(busy.status);
-      continue;
-    }
-    reap_finished_connections();
-    std::string peer = svc::peer_name(client.get());
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    connections_counter().add();
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections;
-    }
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    const std::uint64_t id = next_connection_id_++;
-    connection_threads_.emplace(
-        id, std::thread([this, id, fd = std::move(client),
-                         peer = std::move(peer)]() mutable {
-          handle_connection(std::move(fd), std::move(peer));
-          // Announce completion so the accept loop can reap this thread;
-          // must be the handler thread's last touch of gateway state.
-          std::lock_guard<std::mutex> lock(threads_mutex_);
-          finished_ids_.push_back(id);
-        }));
-  }
-
-  // Drain linger: a stopped listener looks like an outage to an HTTP
-  // client; keep accepting for a bounded window and answer 503 with
-  // Retry-After so callers observe the drain and back off.
-  if (config_.drain_linger_ms > 0) {
-    const std::uint64_t deadline =
-        obs::detail::monotonic_ns() +
-        static_cast<std::uint64_t>(config_.drain_linger_ms) * 1'000'000;
-    for (;;) {
-      const std::int64_t left_ns =
-          static_cast<std::int64_t>(deadline - obs::detail::monotonic_ns());
-      if (left_ns <= 0) break;
-      struct pollfd p{listen_fd_.get(), POLLIN, 0};
-      const int got = ::poll(
-          &p, 1,
-          static_cast<int>(std::min<std::int64_t>(
-              (left_ns + 999'999) / 1'000'000, 1000)));
-      if (got < 0 && errno != EINTR) break;
-      if (got <= 0 || p.revents == 0) continue;
-      svc::Fd client(::accept(listen_fd_.get(), nullptr, nullptr));
-      if (!client.valid()) continue;
-      reap_finished_connections();
-      std::lock_guard<std::mutex> lock(threads_mutex_);
-      const std::uint64_t id = next_connection_id_++;
-      connection_threads_.emplace(
-          id, std::thread([this, id, fd = std::move(client)]() mutable {
-            handle_drain_connection(std::move(fd));
-            std::lock_guard<std::mutex> lock(threads_mutex_);
-            finished_ids_.push_back(id);
-          }));
-    }
-  }
-
-  join_all_connections();
+  host_.run();  // returns after the drain, the linger window and the join
   session_->close();
-  if (config_.listen.kind == svc::Address::Kind::Unix) {
-    ::unlink(config_.listen.path.c_str());
-  }
-  const GatewayStats final = stats();
   util::log_info("intooa-gateway drained",
-                 {{"requests", final.requests},
-                  {"responses_2xx", final.responses_2xx},
-                  {"responses_4xx", final.responses_4xx},
-                  {"responses_5xx", final.responses_5xx},
-                  {"parse_errors", final.parse_errors},
-                  {"timeouts", final.timeouts}});
-}
-
-void Gateway::begin_drain() {
-  if (draining_.exchange(true, std::memory_order_acq_rel)) return;
-  if (wake_tx_.valid()) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_tx_.get(), &byte, 1);
-  }
-}
-
-GatewayStats Gateway::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-std::size_t Gateway::connection_thread_count() const {
-  std::lock_guard<std::mutex> lock(threads_mutex_);
-  return connection_threads_.size();
-}
-
-void Gateway::join_all_connections() {
-  // Move the threads out before joining: a finishing handler takes
-  // threads_mutex_ to announce its id, so joining under the lock would
-  // deadlock against it.
-  std::map<std::uint64_t, std::thread> drained;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    drained.swap(connection_threads_);
-    finished_ids_.clear();
-  }
-  for (auto& [id, thread] : drained) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void Gateway::reap_finished_connections() {
-  std::vector<std::thread> reaped;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (const std::uint64_t id : finished_ids_) {
-      const auto it = connection_threads_.find(id);
-      if (it == connection_threads_.end()) continue;
-      reaped.push_back(std::move(it->second));
-      connection_threads_.erase(it);
-    }
-    finished_ids_.clear();
-  }
-  for (auto& thread : reaped) {
-    if (thread.joinable()) thread.join();
-  }
+                 {{"requests", requests_counter().value()},
+                  {"responses_2xx", responses_counter('2').value()},
+                  {"responses_4xx", responses_counter('4').value()},
+                  {"responses_5xx", responses_counter('5').value()},
+                  {"parse_errors", parse_errors_counter().value()},
+                  {"timeouts", timeouts_counter().value()}});
 }
 
 void Gateway::count_response(int status) {
   if (status >= 400) errors_counter().add();
-  std::lock_guard<std::mutex> lock(stats_mutex_);
   if (status >= 200 && status < 300) {
-    ++stats_.responses_2xx;
+    responses_counter('2').add();
   } else if (status >= 400 && status < 500) {
-    ++stats_.responses_4xx;
+    responses_counter('4').add();
   } else if (status >= 500) {
-    ++stats_.responses_5xx;
+    responses_counter('5').add();
   }
 }
 
@@ -372,10 +246,7 @@ void Gateway::handle_connection(svc::Fd fd, std::string peer) {
     }
     if (!open) break;
     if (parser.status() == HttpParser::Status::Error) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.parse_errors;
-      }
+      parse_errors_counter().add();
       HttpResponse response;
       response.status = parser.error_status();
       response.body =
@@ -397,10 +268,7 @@ void Gateway::handle_connection(svc::Fd fd, std::string peer) {
       if (now - request_start_ns >=
           static_cast<std::uint64_t>(config_.request_grace_ms) *
               1'000'000) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.timeouts;
-        }
+        timeouts_counter().add();
         HttpResponse response;
         response.status = 408;
         response.body = api::error_to_json(
@@ -435,15 +303,14 @@ void Gateway::handle_connection(svc::Fd fd, std::string peer) {
     if (got <= 0) break;  // orderly EOF or I/O error
     parser.feed(std::string_view(buffer, static_cast<std::size_t>(got)));
   }
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Gateway::handle_drain_connection(svc::Fd fd) {
   // Linger-phase connection: parse one request only to frame the answer,
   // reply 503 + Retry-After with Connection: close, and hang up. One
   // answer per connection and a wall-clock deadline (not idle-slice
-  // accounting) guarantee run()'s join_all_connections() is bounded by
-  // drain_linger_ms no matter how chattily a peer keeps sending.
+  // accounting) bound the host's final join by drain_linger_ms no matter
+  // how chattily a peer keeps sending.
   HttpParser parser({config_.max_head_bytes, config_.max_body_bytes});
   char buffer[4096];
   const std::uint64_t deadline =
@@ -474,10 +341,6 @@ void Gateway::handle_drain_connection(svc::Fd fd) {
 HttpResponse Gateway::route(const HttpRequest& request) {
   INTOOA_SPAN("gateway.route");
   requests_counter().add();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-  }
   if (draining()) return drain_response();
 
   const std::string& path = request.path;

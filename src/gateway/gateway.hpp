@@ -2,13 +2,13 @@
 // intooa-gateway's engine: a dependency-free HTTP/1.1 front end over the
 // api::Session facade, so dashboards and non-C++ clients drive evaluations
 // and campaign jobs with plain curl instead of linking the binary-protocol
-// clients. One connection-handler thread per client (the svc::Server
-// model, with sched::JobService's announce-and-reap thread hygiene),
-// bounded admission (connections past max_connections are answered 503 and
-// closed), keep-alive with pipelining, and two timeouts: idle_timeout_ms
-// between requests and request_grace_ms to finish a request that started
-// arriving (the slowloris bound — a trickling peer gets 408, not a thread
-// forever).
+// clients. svc::ConnectionHost (shared with intooa-served and
+// intooa-schedd) gives each client its own handler thread and bounds
+// admission (connections past max_connections are answered 503 and
+// closed); this class adds keep-alive with pipelining and two timeouts:
+// idle_timeout_ms between requests and request_grace_ms to finish a request
+// that started arriving (the slowloris bound — a trickling peer gets 408,
+// not a thread forever).
 //
 // Routes (docs/GATEWAY.md has the reference with curl examples):
 //
@@ -22,6 +22,9 @@
 //                              until the job is terminal or the wait cap
 //   DELETE /v1/jobs/{id}       cancel
 //
+// Counters live in the obs registry only: gateway.requests, .connections,
+// .errors, .responses_{2xx,4xx,5xx}, .parse_errors and .timeouts (408s).
+//
 // Error bodies are api::error_to_json of the api::Error taxonomy and the
 // status is api::error_http_status(code) — deterministic both ways.
 //
@@ -29,23 +32,21 @@
 // spelling) stops admitting work; in-flight handlers finish their current
 // request, further requests are answered 503 with Retry-After, and — so
 // that plain HTTP clients can observe the drain instead of a vanished
-// listener — the acceptor keeps accepting for drain_linger_ms, answering
-// one 503 + Retry-After per connection (Connection: close, so no peer can
-// pin a handler past the linger deadline) before run() returns.
+// listener — the host keeps accepting for drain_linger_ms, answering one
+// 503 + Retry-After per connection (Connection: close, so no peer can pin a
+// handler past the linger deadline) before run() returns.
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/session.hpp"
 #include "gateway/http.hpp"
+#include "svc/connection_host.hpp"
 #include "svc/socket.hpp"
 
 namespace intooa::gateway {
@@ -82,22 +83,9 @@ struct GatewayConfig {
   std::string access_log;
 };
 
-/// Point-in-time gateway counters (process-local mirror of the gateway.*
-/// metrics, exposed for tests and the drain log line).
-struct GatewayStats {
-  std::uint64_t connections = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t responses_2xx = 0;
-  std::uint64_t responses_4xx = 0;
-  std::uint64_t responses_5xx = 0;
-  std::uint64_t parse_errors = 0;
-  std::uint64_t timeouts = 0;  ///< 408s (slowloris grace expiries)
-};
-
 class Gateway {
  public:
   explicit Gateway(GatewayConfig config);
-  ~Gateway();
 
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
@@ -111,18 +99,17 @@ class Gateway {
 
   /// Starts a graceful drain. Thread-safe, idempotent, NOT async-signal-
   /// safe — from a signal handler write one byte to wake_fd() instead.
-  void begin_drain();
+  void begin_drain() { host_.begin_drain(); }
 
   /// Write end of the accept loop's self-pipe (async-signal-safe wake).
-  int wake_fd() const { return wake_tx_.get(); }
+  int wake_fd() const { return host_.wake_fd(); }
 
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
+  bool draining() const { return host_.draining(); }
 
-  GatewayStats stats() const;
-
-  /// Connection-handler threads currently tracked (live + unreaped);
-  /// bounded like svc::Server's.
-  std::size_t connection_thread_count() const;
+  /// Connection-handler threads currently tracked (ConnectionHost).
+  std::size_t connection_thread_count() const {
+    return host_.connection_thread_count();
+  }
 
   /// Routes one parsed request to a response — the pure routing core,
   /// public so tests drive it without sockets. Thread-safe.
@@ -146,17 +133,11 @@ class Gateway {
   HttpResponse route_jobs(const HttpRequest& request);
   HttpResponse route_job(const HttpRequest& request, std::uint64_t job_id);
 
-  void reap_finished_connections();
-  void join_all_connections();
   void count_response(int status);
   void write_access_log(const std::string& peer, const HttpRequest& request,
                         int status, std::uint64_t duration_ns);
 
   GatewayConfig config_;
-  svc::Fd listen_fd_;
-  svc::Fd wake_rx_, wake_tx_;
-  std::atomic<bool> draining_{false};
-  std::atomic<std::size_t> open_connections_{0};
   std::uint64_t start_ns_ = 0;
 
   std::unique_ptr<api::Session> session_;
@@ -167,13 +148,8 @@ class Gateway {
   std::mutex access_log_mutex_;
   std::ofstream access_log_;
 
-  mutable std::mutex threads_mutex_;
-  std::map<std::uint64_t, std::thread> connection_threads_;
-  std::vector<std::uint64_t> finished_ids_;
-  std::uint64_t next_connection_id_ = 1;
-
-  mutable std::mutex stats_mutex_;
-  GatewayStats stats_;
+  /// Declared last: destroyed (drained and joined) first.
+  svc::ConnectionHost host_;
 };
 
 }  // namespace intooa::gateway

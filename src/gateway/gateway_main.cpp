@@ -34,37 +34,18 @@
 // 503 + Retry-After for --drain-linger-ms, then the process exits 0. A
 // second signal force-exits.
 
-#include <unistd.h>
-
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <exception>
 #include <string>
 
 #include "gateway/gateway.hpp"
 #include "obs/telemetry.hpp"
+#include "svc/connection_host.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/version.hpp"
 
 namespace {
-
-std::atomic<int> g_wake_fd{-1};
-std::atomic<int> g_signal_count{0};
-
-// Async-signal-safe: one byte on the self-pipe asks the acceptor to drain;
-// a second signal while draining force-exits.
-void on_signal(int sig) {
-  if (g_signal_count.fetch_add(1, std::memory_order_relaxed) > 0) {
-    _exit(128 + sig);
-  }
-  const int fd = g_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = write(fd, &byte, 1);
-  }
-}
 
 std::vector<intooa::svc::Address> parse_address_list(const std::string& text) {
   std::vector<intooa::svc::Address> out;
@@ -115,13 +96,7 @@ int main(int argc, char** argv) {
 
     gateway::Gateway gateway(std::move(config));
     gateway.bind();
-    g_wake_fd.store(gateway.wake_fd(), std::memory_order_relaxed);
-
-    struct sigaction action {};
-    action.sa_handler = on_signal;
-    sigemptyset(&action.sa_mask);
-    sigaction(SIGTERM, &action, nullptr);
-    sigaction(SIGINT, &action, nullptr);
+    svc::install_drain_signals(gateway.wake_fd(), /*usr1=*/false);
 
     gateway.run();  // returns once drained (plus the linger window)
     return 0;

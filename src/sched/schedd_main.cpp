@@ -28,10 +28,6 @@
 // runs finish and journal their UnitDone, queued work stays journaled for
 // the next process, and the daemon exits 0. A second signal force-exits.
 
-#include <unistd.h>
-
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <exception>
 #include <map>
@@ -44,27 +40,12 @@
 #include "sched/campaign_workload.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/service.hpp"
+#include "svc/connection_host.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/version.hpp"
 
 namespace {
-
-std::atomic<int> g_wake_fd{-1};
-std::atomic<int> g_signal_count{0};
-
-// Async-signal-safe: one byte on the self-pipe asks the listener to drain;
-// a second signal while draining force-exits.
-void on_signal(int sig) {
-  if (g_signal_count.fetch_add(1, std::memory_order_relaxed) > 0) {
-    _exit(128 + sig);
-  }
-  const int fd = g_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = write(fd, &byte, 1);
-  }
-}
 
 /// Parses "a=3,b=1.5" into a map; throws std::invalid_argument on junk.
 std::map<std::string, double> parse_assignments(const std::string& text,
@@ -147,13 +128,7 @@ int main(int argc, char** argv) {
         std::make_shared<sched::CampaignWorkload>(std::move(workload_config)));
     sched::JobService service(std::move(svc_config), scheduler);
     service.bind();
-    g_wake_fd.store(service.wake_fd(), std::memory_order_relaxed);
-
-    struct sigaction action {};
-    action.sa_handler = on_signal;
-    sigemptyset(&action.sa_mask);
-    sigaction(SIGTERM, &action, nullptr);
-    sigaction(SIGINT, &action, nullptr);
+    svc::install_drain_signals(service.wake_fd(), /*usr1=*/false);
 
     service.run();  // returns once the listener drained
     // Finish the in-flight campaign runs (their UnitDone is journaled);

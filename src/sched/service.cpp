@@ -1,11 +1,5 @@
 #include "sched/service.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -18,16 +12,8 @@ namespace intooa::sched {
 
 namespace {
 
-/// Poll slice for connection reads, matching svc::Server: short enough
-/// that a drain is observed promptly, long enough to stay cheap.
-constexpr int kPollSliceMs = 100;
-
 obs::Counter& requests_counter() {
   static obs::Counter& c = obs::registry().counter("sched.svc.requests");
-  return c;
-}
-obs::Counter& connections_counter() {
-  static obs::Counter& c = obs::registry().counter("sched.svc.connections");
   return c;
 }
 obs::Counter& errors_counter() {
@@ -38,57 +24,25 @@ obs::Counter& errors_counter() {
 }  // namespace
 
 JobService::JobService(ServiceConfig config, Scheduler& scheduler)
-    : config_(std::move(config)), scheduler_(scheduler) {}
-
-JobService::~JobService() {
-  begin_drain();
-  join_all_connections();
-}
-
-void JobService::join_all_connections() {
-  // Move the threads out before joining: a finishing handler takes
-  // threads_mutex_ to announce its id, so joining under the lock would
-  // deadlock against it.
-  std::map<std::uint64_t, std::thread> drained;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    drained.swap(connection_threads_);
-    finished_ids_.clear();
-  }
-  for (auto& [id, thread] : drained) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void JobService::reap_finished_connections() {
-  std::vector<std::thread> reaped;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (const std::uint64_t id : finished_ids_) {
-      const auto it = connection_threads_.find(id);
-      if (it == connection_threads_.end()) continue;
-      reaped.push_back(std::move(it->second));
-      connection_threads_.erase(it);
-    }
-    finished_ids_.clear();
-  }
-  // An announced thread has nothing left to do but unwind: these joins
-  // return promptly. Outside the lock all the same.
-  for (auto& thread : reaped) {
-    if (thread.joinable()) thread.join();
-  }
-}
+    : config_(std::move(config)),
+      scheduler_(scheduler),
+      host_({"sched.svc", config_.address, config_.max_connections, 0},
+            {.serve =
+                 [this](svc::Fd fd, std::string peer) {
+                   handle_connection(std::move(fd), std::move(peer));
+                 },
+             .reject =
+                 [](int fd) {
+                   // Connection-level backpressure, same shape as
+                   // svc::Server: a Busy frame with id 0.
+                   svc::write_all(fd, svc::encode_frame(
+                                          svc::MsgType::Busy,
+                                          svc::encode_busy({0, 250})));
+                 }}) {}
 
 void JobService::bind() {
-  if (listen_fd_.valid()) return;
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error(std::string("sched: pipe: ") +
-                             std::strerror(errno));
-  }
-  wake_rx_ = svc::Fd(pipe_fds[0]);
-  wake_tx_ = svc::Fd(pipe_fds[1]);
-  listen_fd_ = svc::listen_on(config_.address);
+  if (host_.bound()) return;
+  host_.bind();
   util::log_info("intooa-schedd listening on " + config_.address.to_string(),
                  {{"workers", scheduler_.config().workers},
                   {"max_queued_jobs", scheduler_.config().max_queued_jobs},
@@ -99,239 +53,112 @@ void JobService::bind() {
 
 void JobService::run() {
   bind();
-  while (!draining()) {
-    struct pollfd fds[2];
-    fds[0] = {listen_fd_.get(), POLLIN, 0};
-    fds[1] = {wake_rx_.get(), POLLIN, 0};
-    const int got = ::poll(fds, 2, 1000);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      util::log_error(std::string("sched: accept poll: ") +
-                      std::strerror(errno));
-      break;
-    }
-    if (got == 0) continue;
-    if (fds[1].revents != 0) {
-      begin_drain();
-      break;
-    }
-    if (fds[0].revents == 0) continue;
-    svc::Fd client(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!client.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      util::log_error(std::string("sched: accept: ") + std::strerror(errno));
-      continue;
-    }
-    if (open_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      // Connection-level backpressure, same shape as svc::Server.
-      const std::string frame = svc::encode_frame(
-          svc::MsgType::Busy, svc::encode_busy({0, 250}));
-      svc::write_all(client.get(), frame);
-      continue;
-    }
-    reap_finished_connections();
-    std::string peer = svc::peer_name(client.get());
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    connections_counter().add();
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    const std::uint64_t id = next_connection_id_++;
-    connection_threads_.emplace(
-        id, std::thread([this, id, fd = std::move(client),
-                         peer = std::move(peer)]() mutable {
-          handle_connection(std::move(fd), std::move(peer));
-          // Announce completion so the accept loop can reap this thread;
-          // must be the handler thread's last touch of service state.
-          std::lock_guard<std::mutex> lock(threads_mutex_);
-          finished_ids_.push_back(id);
-        }));
-  }
-  join_all_connections();
-  if (config_.address.kind == svc::Address::Kind::Unix) {
-    ::unlink(config_.address.path.c_str());
-  }
+  host_.run();
   util::log_info("intooa-schedd listener drained");
 }
 
-void JobService::begin_drain() {
-  if (draining_.exchange(true, std::memory_order_acq_rel)) return;
-  if (wake_tx_.valid()) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_tx_.get(), &byte, 1);
-  }
-}
-
-bool JobService::send_frame(int fd, svc::MsgType type,
-                            std::string_view payload) {
-  // Dispatch is synchronous on the connection thread, so unlike svc::Server
-  // no cross-thread write mutex is needed: one frame in, one frame out.
-  return svc::write_all(fd, svc::encode_frame(type, payload));
-}
-
-void JobService::send_error(int fd, std::uint64_t request_id,
-                            svc::ErrorCode code, const std::string& message) {
-  errors_counter().add();
-  send_frame(fd, svc::MsgType::Error,
-             svc::encode_error({request_id, code, message}));
-}
-
 void JobService::handle_connection(svc::Fd fd, std::string peer) {
-  svc::Frame frame;
-  svc::ReadStatus hello_status = svc::ReadStatus::Timeout;
-  for (int waited = 0; !draining(); waited += kPollSliceMs) {
-    if (config_.idle_timeout_ms >= 0 && waited >= config_.idle_timeout_ms) {
-      break;
-    }
-    hello_status = svc::read_frame(fd.get(), frame, kPollSliceMs);
-    if (hello_status != svc::ReadStatus::Timeout) break;
-  }
-  bool ok = false;
-  if (hello_status == svc::ReadStatus::Ok &&
-      frame.type == svc::MsgType::Hello) {
-    if (const auto hello = svc::decode_hello(frame.payload)) {
-      if (hello->version == svc::kProtocolVersion) {
-        ok = send_frame(fd.get(), svc::MsgType::HelloOk,
-                        hello->minor >= 1
-                            ? svc::encode_hello_ok(svc::kProtocolVersion,
-                                                   svc::kProtocolMinorVersion)
-                            : svc::encode_hello_ok());
-        if (ok) {
-          util::log_info("sched: handshake",
-                         {{"peer", peer},
-                          {"client_minor", hello->minor},
-                          {"build", util::version_string()}});
-        }
-      } else {
-        send_error(fd.get(), 0, svc::ErrorCode::VersionMismatch,
-                   "schedd speaks protocol version " +
-                       std::to_string(svc::kProtocolVersion) +
-                       ", client sent " + std::to_string(hello->version));
-      }
-    } else {
-      send_error(fd.get(), 0, svc::ErrorCode::VersionMismatch,
-                 "malformed Hello (bad magic)");
-    }
-  } else if (hello_status == svc::ReadStatus::Ok) {
-    send_error(fd.get(), 0, svc::ErrorCode::BadFrame, "expected Hello");
-  }
-
-  int idle_ms = 0;
-  while (ok) {
-    const svc::ReadStatus status =
-        svc::read_frame(fd.get(), frame, kPollSliceMs);
-    if (status == svc::ReadStatus::Timeout) {
-      if (draining()) break;
-      idle_ms += kPollSliceMs;
-      if (config_.idle_timeout_ms >= 0 && idle_ms >= config_.idle_timeout_ms) {
-        break;
-      }
-      continue;
-    }
-    if (status == svc::ReadStatus::Oversized) {
-      send_error(fd.get(), 0, svc::ErrorCode::OversizedFrame,
-                 "frame exceeds " + std::to_string(svc::kMaxFrame) + " bytes");
-      break;
-    }
-    if (status == svc::ReadStatus::BadType) {
-      send_error(fd.get(), 0, svc::ErrorCode::BadFrame,
-                 "unknown message type");
-      break;
-    }
-    if (status != svc::ReadStatus::Ok) break;
-    idle_ms = 0;
-    if (!dispatch(fd.get(), frame)) break;
-  }
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
+  svc::FramedConnection conn(std::move(fd), std::move(peer),
+                             errors_counter());
+  svc::FramedProtocol protocol;
+  protocol.name = "sched";
+  protocol.speaker = "schedd";
+  protocol.idle_timeout_ms = config_.idle_timeout_ms;
+  protocol.dispatch = [this, &conn](const svc::Frame& frame) {
+    return dispatch(conn, frame);
+  };
+  svc::serve_framed(host_, conn, protocol);
 }
 
-bool JobService::dispatch(int fd, const svc::Frame& frame) {
+bool JobService::dispatch(svc::FramedConnection& conn,
+                          const svc::Frame& frame) {
   INTOOA_SPAN("sched.svc.dispatch");
   requests_counter().add();
   switch (frame.type) {
     case svc::MsgType::Ping: {
       if (const auto nonce = svc::decode_ping(frame.payload)) {
-        send_frame(fd, svc::MsgType::Pong, svc::encode_ping(*nonce));
+        conn.send(svc::MsgType::Pong, svc::encode_ping(*nonce));
         return true;
       }
-      send_error(fd, 0, svc::ErrorCode::BadFrame, "malformed Ping");
+      conn.send_error(0, svc::ErrorCode::BadFrame, "malformed Ping");
       return false;
     }
     case svc::MsgType::SubmitJob: {
       const auto msg = decode_submit_job(frame.payload);
       if (!msg) {
-        send_error(fd, 0, svc::ErrorCode::BadFrame, "malformed SubmitJob");
+        conn.send_error(0, svc::ErrorCode::BadFrame, "malformed SubmitJob");
         return false;
       }
       if (draining()) {
-        send_error(fd, msg->request_id, svc::ErrorCode::Draining,
-                   "scheduler is draining; no new jobs accepted");
+        conn.send_error(msg->request_id, svc::ErrorCode::Draining,
+                        "scheduler is draining; no new jobs accepted");
         return false;
       }
       SubmitResult result;
       try {
         result = scheduler_.submit(msg->spec);
       } catch (const std::invalid_argument& e) {
-        send_error(fd, msg->request_id, svc::ErrorCode::MalformedRequest,
-                   e.what());
+        conn.send_error(msg->request_id, svc::ErrorCode::MalformedRequest,
+                        e.what());
         return true;  // a bad spec is a request error, not a stream error
       }
       if (!result.accepted) {
-        send_frame(fd, svc::MsgType::QueueFull,
-                   encode_queue_full(
-                       {msg->request_id, result.retry_after_ms}));
+        conn.send(svc::MsgType::QueueFull,
+                  encode_queue_full(
+                      {msg->request_id, result.retry_after_ms}));
         return true;
       }
-      send_frame(fd, svc::MsgType::SubmitOk,
-                 encode_submit_ok({msg->request_id, result.job_id}));
+      conn.send(svc::MsgType::SubmitOk,
+                encode_submit_ok({msg->request_id, result.job_id}));
       return true;
     }
     case svc::MsgType::JobStatusRequest: {
       const auto msg = decode_job_id_msg(frame.payload);
       if (!msg) {
-        send_error(fd, 0, svc::ErrorCode::BadFrame,
-                   "malformed JobStatusRequest");
+        conn.send_error(0, svc::ErrorCode::BadFrame,
+                        "malformed JobStatusRequest");
         return false;
       }
       const auto info = scheduler_.status(msg->job_id);
       if (!info) {
-        send_error(fd, msg->request_id, svc::ErrorCode::MalformedRequest,
-                   "unknown job " + std::to_string(msg->job_id));
+        conn.send_error(msg->request_id, svc::ErrorCode::MalformedRequest,
+                        "unknown job " + std::to_string(msg->job_id));
         return true;
       }
-      send_frame(fd, svc::MsgType::JobStatusResponse,
-                 encode_job_status({msg->request_id, *info}));
+      conn.send(svc::MsgType::JobStatusResponse,
+                encode_job_status({msg->request_id, *info}));
       return true;
     }
     case svc::MsgType::CancelJob: {
       const auto msg = decode_job_id_msg(frame.payload);
       if (!msg) {
-        send_error(fd, 0, svc::ErrorCode::BadFrame, "malformed CancelJob");
+        conn.send_error(0, svc::ErrorCode::BadFrame, "malformed CancelJob");
         return false;
       }
       if (!scheduler_.cancel(msg->job_id)) {
-        send_error(fd, msg->request_id, svc::ErrorCode::MalformedRequest,
-                   "unknown job " + std::to_string(msg->job_id));
+        conn.send_error(msg->request_id, svc::ErrorCode::MalformedRequest,
+                        "unknown job " + std::to_string(msg->job_id));
         return true;
       }
       const auto info = scheduler_.status(msg->job_id);
-      send_frame(fd, svc::MsgType::JobStatusResponse,
-                 encode_job_status({msg->request_id, *info}));
+      conn.send(svc::MsgType::JobStatusResponse,
+                encode_job_status({msg->request_id, *info}));
       return true;
     }
     case svc::MsgType::ListJobs: {
       const auto msg = decode_list_jobs(frame.payload);
       if (!msg) {
-        send_error(fd, 0, svc::ErrorCode::BadFrame, "malformed ListJobs");
+        conn.send_error(0, svc::ErrorCode::BadFrame, "malformed ListJobs");
         return false;
       }
-      send_frame(fd, svc::MsgType::JobList,
-                 encode_job_list({msg->request_id,
-                                  scheduler_.list(msg->tenant)}));
+      conn.send(svc::MsgType::JobList,
+                encode_job_list({msg->request_id,
+                                 scheduler_.list(msg->tenant)}));
       return true;
     }
     default:
-      send_error(fd, 0, svc::ErrorCode::BadFrame,
-                 "message type not served by intooa-schedd");
+      conn.send_error(0, svc::ErrorCode::BadFrame,
+                      "message type not served by intooa-schedd");
       return false;
   }
 }

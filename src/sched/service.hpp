@@ -2,22 +2,16 @@
 // intooa-schedd's network face: accepts svc-framed connections and speaks
 // the job-control subset of the protocol (minor revision 2) — SubmitJob,
 // JobStatusRequest, CancelJob, ListJobs, plus Ping and the shared
-// Hello/HelloOk handshake. Connection handling mirrors svc::Server (one
-// blocking reader thread per connection, poll-sliced reads so a silent
-// client never delays a drain, self-pipe wakeup for signal handlers), but
-// dispatch is synchronous on the connection thread: every operation is a
-// sub-millisecond scheduler-state mutation — the heavy lifting happens on
-// the Scheduler's own worker pool, not here.
+// Hello/HelloOk handshake. svc::ConnectionHost accepts and drains, and
+// each connection runs the framed loop svc::Server runs too
+// (svc::serve_framed); dispatch is synchronous on the connection thread:
+// every operation is a sub-millisecond scheduler-state mutation — the heavy
+// lifting happens on the Scheduler's own worker pool, not here.
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "sched/scheduler.hpp"
+#include "svc/connection_host.hpp"
 #include "svc/socket.hpp"
 
 namespace intooa::sched {
@@ -33,7 +27,6 @@ struct ServiceConfig {
 class JobService {
  public:
   JobService(ServiceConfig config, Scheduler& scheduler);
-  ~JobService();
 
   JobService(const JobService&) = delete;
   JobService& operator=(const JobService&) = delete;
@@ -48,45 +41,24 @@ class JobService {
   /// Stops accepting, refuses new requests with Error(draining), lets
   /// buffered requests get their replies, then run() returns. Thread-safe
   /// and idempotent; from a signal handler write a byte to wake_fd().
-  void begin_drain();
+  void begin_drain() { host_.begin_drain(); }
 
   /// Write end of the self-pipe the accept loop watches (async-signal-
   /// safe). Valid after bind().
-  int wake_fd() const { return wake_tx_.get(); }
+  int wake_fd() const { return host_.wake_fd(); }
 
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
+  bool draining() const { return host_.draining(); }
 
  private:
   void handle_connection(svc::Fd fd, std::string peer);
-  /// Joins and forgets connection threads that announced completion
-  /// (threads_mutex_ must NOT be held). Called on each accept so a
-  /// long-lived daemon serving many short connections stays bounded,
-  /// instead of accumulating one finished-but-unjoined thread per
-  /// connection until drain.
-  void reap_finished_connections();
-  /// Moves every connection thread out of the registry and joins it
-  /// (drain and destructor).
-  void join_all_connections();
   /// Dispatches one decoded frame; returns false when the connection must
   /// close.
-  bool dispatch(int fd, const svc::Frame& frame);
-  bool send_frame(int fd, svc::MsgType type, std::string_view payload);
-  void send_error(int fd, std::uint64_t request_id, svc::ErrorCode code,
-                  const std::string& message);
+  bool dispatch(svc::FramedConnection& conn, const svc::Frame& frame);
 
   ServiceConfig config_;
   Scheduler& scheduler_;
-  svc::Fd listen_fd_;
-  svc::Fd wake_rx_, wake_tx_;
-  std::atomic<bool> draining_{false};
-  std::atomic<std::size_t> open_connections_{0};
-  std::mutex threads_mutex_;
-  /// Live connection threads by id; a handler pushes its id onto
-  /// finished_ids_ as its last act, and the accept loop (or drain) joins
-  /// and erases it from here.
-  std::map<std::uint64_t, std::thread> connection_threads_;
-  std::vector<std::uint64_t> finished_ids_;
-  std::uint64_t next_connection_id_ = 1;
+  /// Declared last: destroyed (drained and joined) first.
+  svc::ConnectionHost host_;
 };
 
 }  // namespace intooa::sched

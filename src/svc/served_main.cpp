@@ -18,54 +18,20 @@
 //          telemetry flags (--trace FILE --metrics FILE --log-level LEVEL).
 //
 // SIGUSR1 dumps the request flight recorder (the last N completed
-// requests) to the log without disturbing service; SIGTERM/SIGINT drain.
+// requests) to the log without disturbing service; SIGTERM/SIGINT drain,
+// and a second one force-exits (the escape hatch when an evaluation
+// wedges).
 
-#include <csignal>
 #include <cstdio>
-#include <unistd.h>
-
-#include <atomic>
 #include <exception>
 #include <string>
 
 #include "obs/telemetry.hpp"
 #include "store/store.hpp"
+#include "svc/connection_host.hpp"
 #include "svc/server.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
-
-namespace {
-
-// Written once before signals are installed, read only by the handler.
-std::atomic<int> g_wake_fd{-1};
-
-// Async-signal-safe: one byte on the self-pipe asks the server to drain.
-// A second signal while draining force-exits (the escape hatch when an
-// evaluation wedges).
-std::atomic<int> g_signal_count{0};
-void on_signal(int sig) {
-  if (g_signal_count.fetch_add(1, std::memory_order_relaxed) > 0) {
-    _exit(128 + sig);
-  }
-  const int fd = g_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = write(fd, &byte, 1);
-  }
-}
-
-// Async-signal-safe: byte 2 asks the accept loop to dump the flight
-// recorder and keep serving. Deliberately does not touch g_signal_count —
-// SIGUSR1 must never escalate to a force-exit.
-void on_usr1(int) {
-  const int fd = g_wake_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 2;
-    [[maybe_unused]] const ssize_t n = write(fd, &byte, 1);
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace intooa;
@@ -106,17 +72,7 @@ int main(int argc, char** argv) {
 
     svc::Server server(std::move(config));
     server.bind();
-    g_wake_fd.store(server.wake_fd(), std::memory_order_relaxed);
-
-    struct sigaction action {};
-    action.sa_handler = on_signal;
-    sigemptyset(&action.sa_mask);
-    sigaction(SIGTERM, &action, nullptr);
-    sigaction(SIGINT, &action, nullptr);
-    struct sigaction usr1 {};
-    usr1.sa_handler = on_usr1;
-    sigemptyset(&usr1.sa_mask);
-    sigaction(SIGUSR1, &usr1, nullptr);
+    svc::install_drain_signals(server.wake_fd(), /*usr1=*/true);
 
     if (!store_path.empty()) {
       util::log_info("intooa-served: warm store attached",

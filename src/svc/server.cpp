@@ -1,12 +1,6 @@
 #include "svc/server.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -26,10 +20,6 @@ namespace intooa::svc {
 
 namespace {
 
-/// Poll slice for connection readers: short enough that drain and idle
-/// checks stay responsive, long enough to cost nothing.
-constexpr int kPollSliceMs = 200;
-
 obs::Counter& requests_counter() {
   static obs::Counter& c = obs::registry().counter("svc.requests");
   return c;
@@ -42,20 +32,12 @@ obs::Counter& errors_counter() {
   static obs::Counter& c = obs::registry().counter("svc.errors");
   return c;
 }
-obs::Counter& connections_counter() {
-  static obs::Counter& c = obs::registry().counter("svc.connections");
-  return c;
-}
 obs::Counter& stats_requests_counter() {
   static obs::Counter& c = obs::registry().counter("svc.stats_requests");
   return c;
 }
 obs::Gauge& inflight_gauge() {
   static obs::Gauge& g = obs::registry().gauge("svc.inflight");
-  return g;
-}
-obs::Gauge& connections_gauge() {
-  static obs::Gauge& g = obs::registry().gauge("svc.connections");
   return g;
 }
 obs::Gauge& uptime_gauge() {
@@ -151,7 +133,23 @@ struct Server::Shard {
   std::unordered_set<std::uint64_t> in_progress;
 };
 
-Server::Server(ServerConfig config) : config_(std::move(config)) {
+Server::Server(ServerConfig config)
+    : config_(std::move(config)),
+      host_({"svc", config_.address, config_.max_connections, 0},
+            {.serve =
+                 [this](Fd fd, std::string peer) {
+                   handle_connection(std::move(fd), std::move(peer));
+                 },
+             .reject =
+                 [this](int fd) {
+                   // Connection-level backpressure: a Busy frame with id 0.
+                   write_all(fd, encode_frame(MsgType::Busy,
+                                              encode_busy(
+                                                  {0, config_.busy_retry_ms})));
+                   busy_counter().add();
+                 },
+             .tick = [this] { update_loop_gauges(); },
+             .usr1 = [this] { dump_flight_recorder(); }}) {
   if (config_.threads == 0) {
     config_.threads = std::max<std::size_t>(
         1, std::thread::hardware_concurrency());
@@ -163,62 +161,12 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   }
 }
 
-Server::~Server() {
-  // A destroyed server must not leave threads running; run() normally joins
-  // them, but guard against a caller that never ran.
-  begin_drain();
-  join_all_connections();
-}
-
-void Server::join_all_connections() {
-  // Move the threads out before joining: a finishing handler takes
-  // threads_mutex_ to announce its id, so joining under the lock would
-  // deadlock against it.
-  std::map<std::uint64_t, std::thread> drained;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    drained.swap(connection_threads_);
-    finished_ids_.clear();
-  }
-  for (auto& [id, thread] : drained) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void Server::reap_finished_connections() {
-  std::vector<std::thread> reaped;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (const std::uint64_t id : finished_ids_) {
-      const auto it = connection_threads_.find(id);
-      if (it == connection_threads_.end()) continue;
-      reaped.push_back(std::move(it->second));
-      connection_threads_.erase(it);
-    }
-    finished_ids_.clear();
-  }
-  // An announced thread has nothing left to do but unwind: these joins
-  // return promptly. Outside the lock all the same.
-  for (auto& thread : reaped) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-std::size_t Server::connection_thread_count() const {
-  std::lock_guard<std::mutex> lock(threads_mutex_);
-  return connection_threads_.size();
-}
+// Out of line: Shard is complete only here.
+Server::~Server() = default;
 
 void Server::bind() {
-  if (listen_fd_.valid()) return;
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error(std::string("svc: pipe: ") +
-                             std::strerror(errno));
-  }
-  wake_rx_ = Fd(pipe_fds[0]);
-  wake_tx_ = Fd(pipe_fds[1]);
-  listen_fd_ = listen_on(config_.address);
+  if (host_.bound()) return;
+  host_.bind();
   pool_ = std::make_unique<runtime::ThreadPool>(config_.threads);
   start_ns_ = obs::detail::monotonic_ns();
   if (!config_.access_log.empty()) {
@@ -242,262 +190,46 @@ void Server::run() {
   if (!config_.stats_file.empty() && config_.stats_interval_s > 0) {
     stats_thread_ = std::thread([this] { stats_file_loop(); });
   }
-  update_loop_gauges();
-  while (!draining()) {
-    struct pollfd fds[2];
-    fds[0] = {listen_fd_.get(), POLLIN, 0};
-    fds[1] = {wake_rx_.get(), POLLIN, 0};
-    // A ~1 s tick (instead of blocking forever) keeps the liveness gauges
-    // fresh between requests, so a stats snapshot of an idle server still
-    // shows true uptime/inflight/connections.
-    const int got = ::poll(fds, 2, 1000);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      util::log_error(std::string("svc: accept poll: ") +
-                      std::strerror(errno));
-      break;
-    }
-    update_loop_gauges();
-    if (got == 0) continue;
-    if (fds[1].revents != 0) {
-      // Classify the wake bytes: 2 = flight-recorder dump (SIGUSR1, keep
-      // serving), anything else = drain.
-      char bytes[16];
-      const ssize_t n = ::read(wake_rx_.get(), bytes, sizeof bytes);
-      bool drain = n <= 0;
-      for (ssize_t i = 0; i < n; ++i) {
-        if (bytes[i] == 2) {
-          dump_flight_recorder();
-        } else {
-          drain = true;
-        }
-      }
-      if (drain) {
-        begin_drain();
-        break;
-      }
-    }
-    if (fds[0].revents == 0) continue;
-    Fd client(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!client.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      util::log_error(std::string("svc: accept: ") + std::strerror(errno));
-      continue;
-    }
-    if (open_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      // Connection-level backpressure: a Busy frame with id 0, then close.
-      const std::string frame = encode_frame(
-          MsgType::Busy, encode_busy({0, config_.busy_retry_ms}));
-      write_all(client.get(), frame);
-      busy_counter().add();
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.busy_rejections;
-      }
-      continue;
-    }
-    reap_finished_connections();
-    auto conn = std::make_shared<Connection>();
-    conn->peer = peer_name(client.get());
-    conn->fd = std::move(client);
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    connections_gauge().set(
-        static_cast<double>(open_connections_.load()));
-    connections_counter().add();
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections;
-    }
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    const std::uint64_t id = next_connection_id_++;
-    connection_threads_.emplace(
-        id, std::thread([this, id, conn = std::move(conn)]() mutable {
-          handle_connection(std::move(conn));
-          // Announce completion so the accept loop can reap this thread;
-          // must be the handler thread's last touch of server state.
-          std::lock_guard<std::mutex> lock(threads_mutex_);
-          finished_ids_.push_back(id);
-        }));
-  }
-
-  // Drain: every admitted evaluation finishes and flushes its response.
-  {
-    std::unique_lock<std::mutex> lock(inflight_mutex_);
-    inflight_cv_.wait(lock, [this] { return inflight_.load() == 0; });
-  }
-  join_all_connections();
-  pool_.reset();  // queue is empty; joins the workers
+  // Returns once drained: every connection thread flushed the responses
+  // its connection was owed and was joined.
+  host_.run();
+  pool_.reset();  // runs out the queue; joins the workers
+  // Wake the stats-file writer, which stops once it sees the drain.
+  { std::lock_guard<std::mutex> lock(stats_cv_mutex_); }
+  stats_cv_.notify_all();
   if (stats_thread_.joinable()) stats_thread_.join();
   if (!config_.stats_file.empty()) {
     write_stats_file();  // final snapshot: the fully drained counters
   }
-  if (config_.address.kind == Address::Kind::Unix) {
-    ::unlink(config_.address.path.c_str());
-  }
   dump_flight_recorder();
-  const ServerStats final = stats();
   util::log_info("intooa-served drained",
-                 {{"requests", final.requests},
-                  {"ok", final.responses_ok},
-                  {"busy", final.busy_rejections},
-                  {"errors", final.errors},
-                  {"served_memory", final.served_memory},
-                  {"served_store", final.served_store},
-                  {"served_computed", final.served_computed}});
+                 {{"requests", requests_counter().value()},
+                  {"busy", busy_counter().value()},
+                  {"errors", errors_counter().value()},
+                  {"served_memory", served_counter(ServedFrom::Memory).value()},
+                  {"served_store", served_counter(ServedFrom::Store).value()},
+                  {"served_computed",
+                   served_counter(ServedFrom::Computed).value()}});
 }
 
-void Server::begin_drain() {
-  if (draining_.exchange(true, std::memory_order_acq_rel)) return;
-  // Wake the acceptor (idempotent; harmless when called from run() itself).
-  if (wake_tx_.valid()) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_tx_.get(), &byte, 1);
-  }
-  // Wake any run() blocked on inflight (in case nothing is in flight).
-  inflight_cv_.notify_all();
-  // Wake the stats-file writer so the drain is not delayed by its interval.
-  { std::lock_guard<std::mutex> lock(stats_cv_mutex_); }
-  stats_cv_.notify_all();
-}
-
-ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-bool Server::send_frame(const std::shared_ptr<Connection>& conn, MsgType type,
-                        std::string_view payload) {
-  const std::string frame = encode_frame(type, payload);
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (conn->broken.load(std::memory_order_relaxed)) return false;
-  if (!write_all(conn->fd.get(), frame)) {
-    conn->broken.store(true, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-void Server::send_error(const std::shared_ptr<Connection>& conn,
-                        std::uint64_t request_id, ErrorCode code,
-                        const std::string& message) {
-  errors_counter().add();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.errors;
-  }
-  send_frame(conn, MsgType::Error,
-             encode_error({request_id, code, message}));
-}
-
-void Server::handle_connection(std::shared_ptr<Connection> conn) {
-  // Handshake: the first frame must be a Hello with our magic and version.
-  // Waited for in poll slices so a silent client never delays a drain.
-  Frame frame;
-  ReadStatus hello_status = ReadStatus::Timeout;
-  for (int waited = 0; !draining(); waited += kPollSliceMs) {
-    if (config_.idle_timeout_ms >= 0 && waited >= config_.idle_timeout_ms) {
-      break;
-    }
-    hello_status = read_frame(conn->fd.get(), frame, kPollSliceMs);
-    if (hello_status != ReadStatus::Timeout) break;
-  }
-  bool ok = false;
-  if (hello_status == ReadStatus::Ok && frame.type == MsgType::Hello) {
-    if (const auto hello = decode_hello(frame.payload)) {
-      if (hello->version == kProtocolVersion) {
-        // Echo our minor revision only to clients that announced one:
-        // version-1.0 clients reject a HelloOk with trailing bytes.
-        ok = send_frame(conn, MsgType::HelloOk,
-                        hello->minor >= 1
-                            ? encode_hello_ok(kProtocolVersion,
-                                              kProtocolMinorVersion)
-                            : encode_hello_ok());
-        if (ok) {
-          // Both ends log their build stamp on Hello, so a mixed-version
-          // client/server pair is visible from either side's log alone.
-          util::log_info("svc: handshake",
-                         {{"peer", conn->peer},
-                          {"client_minor", hello->minor},
-                          {"build", util::version_string()}});
-        }
-      } else {
-        send_error(conn, 0, ErrorCode::VersionMismatch,
-                   "server speaks protocol version " +
-                       std::to_string(kProtocolVersion) + ", client sent " +
-                       std::to_string(hello->version));
-      }
-    } else {
-      send_error(conn, 0, ErrorCode::VersionMismatch,
-                 "malformed Hello (bad magic)");
-    }
-  } else if (hello_status == ReadStatus::Oversized) {
-    send_error(conn, 0, ErrorCode::OversizedFrame,
-               "frame exceeds " + std::to_string(kMaxFrame) + " bytes");
-  } else if (hello_status == ReadStatus::BadType) {
-    send_error(conn, 0, ErrorCode::BadFrame, "unknown message type");
-  } else if (hello_status == ReadStatus::Ok) {
-    send_error(conn, 0, ErrorCode::BadFrame, "expected Hello");
-  }
-
-  int idle_ms = 0;
-  bool drain_exit = false;
-  while (ok && !conn->broken.load(std::memory_order_relaxed)) {
-    const ReadStatus status =
-        read_frame(conn->fd.get(), frame, kPollSliceMs);
-    if (status == ReadStatus::Timeout) {
-      // The drain check rides the timeout so frames already buffered when
-      // the drain began are still read and answered (with Error(draining))
-      // instead of silently dropped.
-      if (draining()) {  // pending responses are flushed below
-        drain_exit = true;
-        break;
-      }
-      idle_ms += kPollSliceMs;
-      if (config_.idle_timeout_ms >= 0 && idle_ms >= config_.idle_timeout_ms) {
-        util::log_debug("svc: closing idle connection");
-        break;
-      }
-      continue;
-    }
-    if (status == ReadStatus::Oversized) {
-      send_error(conn, 0, ErrorCode::OversizedFrame,
-                 "frame exceeds " + std::to_string(kMaxFrame) + " bytes");
-      break;
-    }
-    if (status == ReadStatus::BadType) {
-      // The stream is corrupt past the header, so the connection must
-      // close — but the peer is told why instead of seeing a silent EOF.
-      send_error(conn, 0, ErrorCode::BadFrame, "unknown message type");
-      break;
-    }
-    if (status != ReadStatus::Ok) break;  // Closed or Error
-    idle_ms = 0;
-    if (!dispatch(conn, frame)) break;
-  }
-
+void Server::handle_connection(Fd fd, std::string peer) {
+  const auto conn = std::make_shared<Connection>(std::move(fd),
+                                                 std::move(peer),
+                                                 errors_counter());
+  FramedProtocol protocol;
+  protocol.name = "svc";
+  protocol.speaker = "server";
+  protocol.idle_timeout_ms = config_.idle_timeout_ms;
+  protocol.dispatch = [this, &conn](const Frame& frame) {
+    return dispatch(conn, frame);
+  };
   // Never close the socket while admitted evaluations still owe this
   // connection a response (the drain guarantee).
-  finish_pending(conn);
-  if (drain_exit && !conn->broken.load(std::memory_order_relaxed)) {
-    // A request can race the drain onto the wire: the client wrote it just
-    // before learning of the shutdown, while this thread's poll slice timed
-    // out in the gap before those bytes arrived. The in-flight flush above
-    // gave them time to land, so answer what is buffered (Error(draining)
-    // closes after the first one) instead of silently hanging up. Bounded
-    // and non-blocking: a silent peer still never delays the drain.
-    for (int swept = 0; swept < 16; ++swept) {
-      if (read_frame(conn->fd.get(), frame, 0) != ReadStatus::Ok) break;
-      if (!dispatch(conn, frame)) break;
-    }
-  }
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
-  connections_gauge().set(static_cast<double>(open_connections_.load()));
-}
-
-void Server::finish_pending(const std::shared_ptr<Connection>& conn) {
-  std::unique_lock<std::mutex> lock(conn->pending_mutex);
-  conn->pending_cv.wait(lock, [&] { return conn->pending == 0; });
+  protocol.before_close = [&conn] {
+    std::unique_lock<std::mutex> lock(conn->pending_mutex);
+    conn->pending_cv.wait(lock, [&] { return conn->pending == 0; });
+  };
+  serve_framed(host_, *conn, protocol);
 }
 
 bool Server::dispatch(const std::shared_ptr<Connection>& conn,
@@ -505,22 +237,22 @@ bool Server::dispatch(const std::shared_ptr<Connection>& conn,
   switch (frame.type) {
     case MsgType::Ping: {
       if (const auto nonce = decode_ping(frame.payload)) {
-        send_frame(conn, MsgType::Pong, encode_ping(*nonce));
+        conn->send(MsgType::Pong, encode_ping(*nonce));
         return true;
       }
-      send_error(conn, 0, ErrorCode::BadFrame, "malformed Ping");
+      conn->send_error(0, ErrorCode::BadFrame, "malformed Ping");
       return false;
     }
     case MsgType::StatsRequest: {
       const auto stats_request = decode_stats_request(frame.payload);
       if (!stats_request) {
-        send_error(conn, 0, ErrorCode::BadFrame, "malformed StatsRequest");
+        conn->send_error(0, ErrorCode::BadFrame, "malformed StatsRequest");
         return false;
       }
       // Answered on the connection thread, outside admission control, so a
       // saturated (or draining) server still answers "what are you doing".
       stats_requests_counter().add();
-      send_frame(conn, MsgType::StatsResponse,
+      conn->send(MsgType::StatsResponse,
                  encode_stats_response(
                      {stats_request->request_id,
                       stats_json_text(stats_request->include_flight)}));
@@ -528,10 +260,6 @@ bool Server::dispatch(const std::shared_ptr<Connection>& conn,
     }
     case MsgType::EvalRequest: {
       requests_counter().add();
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requests;
-      }
       // Timed by hand instead of INTOOA_SPAN: the decode duration feeds the
       // response trailer and flight recorder, and the span's trace tags are
       // only known after decoding.
@@ -547,14 +275,14 @@ bool Server::dispatch(const std::shared_ptr<Connection>& conn,
       record_server_span("svc.decode", decode_start, decode_ns, trace_id,
                          server_span_id);
       if (!request) {
-        send_error(conn, 0, ErrorCode::BadFrame, "malformed EvalRequest");
+        conn->send_error(0, ErrorCode::BadFrame, "malformed EvalRequest");
         return false;
       }
       if (draining()) {
         // Refuse and close: the reply tells the client why, and closing
         // keeps a still-streaming client from delaying the drain.
-        send_error(conn, request->request_id, ErrorCode::Draining,
-                   "server is draining; no new work accepted");
+        conn->send_error(request->request_id, ErrorCode::Draining,
+                         "server is draining; no new work accepted");
         return false;
       }
       // Bounded admission: grab an in-flight slot or reply Busy now.
@@ -562,11 +290,7 @@ bool Server::dispatch(const std::shared_ptr<Connection>& conn,
       do {
         if (current >= config_.max_inflight) {
           busy_counter().add();
-          {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.busy_rejections;
-          }
-          send_frame(conn, MsgType::Busy,
+          conn->send(MsgType::Busy,
                      encode_busy({request->request_id,
                                   config_.busy_retry_ms}));
           return true;
@@ -588,9 +312,9 @@ bool Server::dispatch(const std::shared_ptr<Connection>& conn,
       return true;
     }
     default:
-      send_error(conn, 0, ErrorCode::BadFrame,
-                 "unknown message type " +
-                     std::to_string(static_cast<unsigned>(frame.type)));
+      conn->send_error(0, ErrorCode::BadFrame,
+                       "unknown message type " +
+                           std::to_string(static_cast<unsigned>(frame.type)));
       return false;
   }
 }
@@ -604,7 +328,7 @@ void Server::process_request(std::shared_ptr<Connection> conn,
   flight.request_id = request.request_id;
   flight.decode_ns = decode_ns;
   flight.bytes_in = bytes_in;
-  flight.peer = conn->peer;
+  flight.peer = conn->peer();
   if (request.trace) flight.trace_id = request.trace->trace_id;
   const std::uint64_t eval_start = obs::detail::monotonic_ns();
   flight.queue_ns = eval_start - admitted_at_ns;
@@ -649,29 +373,21 @@ void Server::process_request(std::shared_ptr<Connection> conn,
       payload = encode_eval_response(response);
     }
     flight.bytes_out = kFrameHeaderSize + payload.size();
-    flight.ok = true;  // served; delivery failures surface via conn->broken
+    flight.ok = true;  // served; delivery failures surface via conn->broken()
     record_flight();
-    if (send_frame(conn, MsgType::EvalResponse, payload)) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.responses_ok;
-      switch (response.served_from) {
-        case ServedFrom::Memory: ++stats_.served_memory; break;
-        case ServedFrom::Store: ++stats_.served_store; break;
-        case ServedFrom::Computed: ++stats_.served_computed; break;
-      }
-    }
+    conn->send(MsgType::EvalResponse, payload);
   } catch (const std::invalid_argument& e) {
     flight.eval_ns = obs::detail::monotonic_ns() - eval_start;
-    send_error(conn, request.request_id, ErrorCode::MalformedRequest,
-               e.what());
+    conn->send_error(request.request_id, ErrorCode::MalformedRequest,
+                     e.what());
   } catch (const std::exception& e) {
     flight.eval_ns = obs::detail::monotonic_ns() - eval_start;
-    send_error(conn, request.request_id, ErrorCode::Internal, e.what());
+    conn->send_error(request.request_id, ErrorCode::Internal, e.what());
   }
   record_flight();  // error paths record too (with ok still false)
 
-  // Release the in-flight slot and this connection's pending count; both
-  // the drain loop and the connection closer may be waiting on them.
+  // Release the in-flight slot and this connection's pending count; the
+  // connection's closer may be waiting on the latter.
   {
     std::lock_guard<std::mutex> lock(conn->pending_mutex);
     --conn->pending;
@@ -680,13 +396,6 @@ void Server::process_request(std::shared_ptr<Connection> conn,
   const std::size_t now =
       inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
   inflight_gauge().set(static_cast<double>(now));
-  if (now == 0) {
-    // Pairing the notify with the waiter's mutex closes the window where
-    // run() checks the predicate, we decrement-and-notify, and run() then
-    // sleeps forever.
-    { std::lock_guard<std::mutex> lock(inflight_mutex_); }
-    inflight_cv_.notify_all();
-  }
 }
 
 Server::Shard& Server::shard_for(const EvalRequest& request) {
@@ -799,7 +508,6 @@ void Server::update_loop_gauges() {
   uptime_gauge().set(
       static_cast<double>(obs::detail::monotonic_ns() - start_ns_) / 1e9);
   inflight_gauge().set(static_cast<double>(inflight_.load()));
-  connections_gauge().set(static_cast<double>(open_connections_.load()));
 }
 
 std::string Server::stats_json_text(bool include_flight) const {

@@ -8,12 +8,12 @@
 // queued or running, further requests get an immediate Busy reply
 // (explicit backpressure) instead of unbounded buffering.
 //
-// Threading model: one connection-handler thread per client (blocking
-// frame reads with poll timeouts), evaluation tasks on the shared pool,
-// responses written back under a per-connection mutex (responses to one
-// connection may interleave across requests but never across frames).
-// Responses are keyed by the client's request id and may arrive out of
-// order.
+// Threading model: svc::ConnectionHost accepts and gives each client its
+// own thread running the shared framed loop (svc::serve_framed); evaluation
+// tasks run on the shared pool, and responses are written back under the
+// connection's write mutex (responses to one connection may interleave
+// across requests but never across frames). Responses are keyed by the
+// client's request id and may arrive out of order.
 //
 // Shutdown: begin_drain() — or a byte written to wake_fd(), which is the
 // async-signal-safe spelling used by intooa-served's SIGTERM/SIGINT
@@ -21,6 +21,10 @@
 // finishes every admitted evaluation, flushes its response, and returns
 // from run(). Store appends are fsync'd per record (store::EvalStore), so
 // a drained server leaves a durable store behind.
+//
+// Counters live in the obs registry only (svc.requests, svc.errors,
+// svc.busy_rejections, svc.served_{memory,store,computed}, ...); read them
+// with obs::snapshot().
 //
 // Determinism: the service adds no randomness. Sizing draws from an RNG
 // seeded by the evaluation key digest (the same discipline as
@@ -32,16 +36,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "runtime/thread_pool.hpp"
 #include "store/store.hpp"
+#include "svc/connection_host.hpp"
 #include "svc/flight_recorder.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
@@ -78,19 +81,6 @@ struct ServerConfig {
   double stats_interval_s = 10.0;
 };
 
-/// Point-in-time server counters (process-local mirror of the svc.*
-/// metrics, exposed for tests and the drain log line).
-struct ServerStats {
-  std::uint64_t connections = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t responses_ok = 0;
-  std::uint64_t busy_rejections = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t served_memory = 0;
-  std::uint64_t served_store = 0;
-  std::uint64_t served_computed = 0;
-};
-
 class Server {
  public:
   explicit Server(ServerConfig config);
@@ -112,24 +102,21 @@ class Server {
   /// admitted work, then run() returns. Thread-safe and idempotent, but NOT
   /// async-signal-safe — from a signal handler, write one byte to
   /// wake_fd() instead.
-  void begin_drain();
+  void begin_drain() { host_.begin_drain(); }
 
   /// Write end of the self-pipe the accept loop watches; write() to it is
   /// async-signal-safe. Byte value 2 dumps the flight recorder to the log
   /// and keeps serving (SIGUSR1); any other byte triggers begin_drain()
   /// (SIGTERM/SIGINT). Valid after bind().
-  int wake_fd() const { return wake_tx_.get(); }
+  int wake_fd() const { return host_.wake_fd(); }
 
   /// True once begin_drain() (or a wake-pipe byte) has been observed.
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
+  bool draining() const { return host_.draining(); }
 
-  ServerStats stats() const;
-
-  /// Connection-handler threads currently tracked (live handlers plus any
-  /// finished-but-not-yet-reaped). Bounded by max_connections + the reap
-  /// backlog of one accept-loop iteration; the regression test asserts it
-  /// stays small across many short-lived connections.
-  std::size_t connection_thread_count() const;
+  /// Connection-handler threads currently tracked (ConnectionHost).
+  std::size_t connection_thread_count() const {
+    return host_.connection_thread_count();
+  }
 
   /// The StatsResponse document: uptime, metrics snapshot, per-histogram
   /// p50/p90/p99 and (optionally) the flight-recorder contents, as compact
@@ -141,14 +128,11 @@ class Server {
  private:
   /// Per-connection state shared between the reader thread and the pool
   /// tasks writing responses.
-  struct Connection {
-    Fd fd;
-    std::string peer;                ///< "unix" or "ip:port", for telemetry
-    std::mutex write_mutex;          ///< one frame at a time on the wire
+  struct Connection : FramedConnection {
+    using FramedConnection::FramedConnection;
     std::mutex pending_mutex;
     std::condition_variable pending_cv;
-    std::size_t pending = 0;         ///< admitted, response not yet written
-    std::atomic<bool> broken{false};  ///< write failed; stop serving
+    std::size_t pending = 0;  ///< admitted, response not yet written
   };
 
   /// Per-evaluation-configuration state: requests with byte-identical
@@ -156,7 +140,7 @@ class Server {
   /// in-progress dedup).
   struct Shard;
 
-  void handle_connection(std::shared_ptr<Connection> conn);
+  void handle_connection(Fd fd, std::string peer);
   /// Dispatches one decoded frame; returns false when the connection must
   /// close (protocol violation).
   bool dispatch(const std::shared_ptr<Connection>& conn, const Frame& frame);
@@ -170,17 +154,9 @@ class Server {
                              std::uint64_t& key_digest);
   Shard& shard_for(const EvalRequest& request);
 
-  bool send_frame(const std::shared_ptr<Connection>& conn, MsgType type,
-                  std::string_view payload);
-  void send_error(const std::shared_ptr<Connection>& conn,
-                  std::uint64_t request_id, ErrorCode code,
-                  const std::string& message);
-
-  void finish_pending(const std::shared_ptr<Connection>& conn);
-
-  /// Refreshes the liveness gauges (svc.uptime_seconds, svc.inflight,
-  /// svc.connections) — called on every accept-loop tick so a snapshot is
-  /// meaningful even between requests.
+  /// Refreshes the liveness gauges (svc.uptime_seconds, svc.inflight) —
+  /// called on every accept-loop tick so a snapshot is meaningful even
+  /// between requests.
   void update_loop_gauges();
   /// Logs every buffered flight record (SIGUSR1 and graceful drain).
   void dump_flight_recorder();
@@ -193,14 +169,8 @@ class Server {
   void stats_file_loop();
 
   ServerConfig config_;
-  Fd listen_fd_;
-  Fd wake_rx_, wake_tx_;
   std::unique_ptr<runtime::ThreadPool> pool_;
-  std::atomic<bool> draining_{false};
   std::atomic<std::size_t> inflight_{0};
-  std::atomic<std::size_t> open_connections_{0};
-  std::mutex inflight_mutex_;
-  std::condition_variable inflight_cv_;
 
   std::uint64_t start_ns_ = 0;  ///< bind() time, for svc.uptime_seconds
   std::unique_ptr<FlightRecorder> flight_;  ///< null when capacity == 0
@@ -213,22 +183,9 @@ class Server {
   std::mutex shards_mutex_;
   std::unordered_map<std::string, std::unique_ptr<Shard>> shards_;
 
-  /// Joins connection threads whose handlers announced completion (same
-  /// scheme as sched::JobService: a handler's last act is to push its id
-  /// onto finished_ids_). Called on every accept so a long-lived daemon
-  /// stays bounded instead of accumulating one unjoined thread per
-  /// connection until drain.
-  void reap_finished_connections();
-  /// Joins every remaining connection thread (drain and destructor).
-  void join_all_connections();
-
-  mutable std::mutex threads_mutex_;
-  std::map<std::uint64_t, std::thread> connection_threads_;
-  std::vector<std::uint64_t> finished_ids_;
-  std::uint64_t next_connection_id_ = 1;
-
-  mutable std::mutex stats_mutex_;
-  ServerStats stats_;
+  /// Declared last: destroyed first, so its final join runs while every
+  /// member a connection thread touches is still alive.
+  ConnectionHost host_;
 };
 
 }  // namespace intooa::svc

@@ -13,10 +13,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -33,6 +35,7 @@
 #include "sched/protocol.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/service.hpp"
+#include "svc/socket.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -777,6 +780,83 @@ TEST(SchedService, SubmitStatusCancelListOverTheWire) {
   server.join();
   scheduler.stop();
   std::filesystem::remove(sock);
+}
+
+/// A JobService over a FakeWorkload scheduler, serving on its own thread.
+struct TestService {
+  std::shared_ptr<FakeWorkload> workload = std::make_shared<FakeWorkload>();
+  sched::Scheduler scheduler;
+  sched::ServiceConfig config;
+  sched::JobService service;
+  std::thread thread;
+
+  explicit TestService(const std::string& name)
+      : scheduler(sched::SchedulerConfig{}, workload),
+        config{svc::Address::parse("unix:" + fresh_file(name)), 64, 60'000},
+        service(config, scheduler) {
+    service.bind();
+    thread = std::thread([this] { service.run(); });
+  }
+  ~TestService() {
+    service.begin_drain();
+    thread.join();
+    scheduler.stop();
+  }
+};
+
+/// Reads one frame and decodes it as an Error reply.
+std::optional<svc::ErrorReply> read_error(int fd) {
+  svc::Frame frame;
+  if (svc::read_frame(fd, frame, 10'000) != svc::ReadStatus::Ok ||
+      frame.type != svc::MsgType::Error) {
+    return std::nullopt;
+  }
+  return svc::decode_error(frame.payload);
+}
+
+// Regression: a SubmitJob the client wrote just after the drain began — too
+// late to be admitted, too early for the client to know — is answered
+// Error(draining). The reader used to quit on its first idle poll slice
+// after the drain and hang up on it.
+TEST(SchedService, SubmitRacingTheDrainIsAnsweredDraining) {
+  TestService ts("intooa-schedd-drain.sock");
+  svc::Fd fd = svc::connect_to(ts.config.address);
+  ASSERT_TRUE(svc::write_all(
+      fd.get(), svc::encode_frame(svc::MsgType::Hello, svc::encode_hello())));
+  svc::Frame frame;
+  ASSERT_EQ(svc::read_frame(fd.get(), frame, 10'000), svc::ReadStatus::Ok);
+  ASSERT_EQ(frame.type, svc::MsgType::HelloOk);
+
+  ts.service.begin_drain();
+  // Longer than one poll slice, so the reader has seen the drain go idle,
+  // and well inside the reader's drain grace.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  svc::write_all(fd.get(),
+                 svc::encode_frame(svc::MsgType::SubmitJob,
+                                   sched::encode_submit_job({7, tiny_spec()})));
+  const auto error = read_error(fd.get());
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->request_id, 7u);
+  EXPECT_EQ(error->code, svc::ErrorCode::Draining);
+  EXPECT_EQ(svc::read_frame(fd.get(), frame, 10'000), svc::ReadStatus::Closed);
+  EXPECT_TRUE(ts.workload->ran.empty());
+}
+
+// Regression: an oversized Hello is answered Error(oversized_frame) before
+// the close, as intooa-served does, instead of a silent hang-up.
+TEST(SchedService, OversizedHelloGetsAnErrorReply) {
+  TestService ts("intooa-schedd-oversized.sock");
+  svc::Fd fd = svc::connect_to(ts.config.address);
+  const std::uint32_t huge = svc::kMaxFrame + 1;
+  std::string header(4, '\0');
+  std::memcpy(header.data(), &huge, 4);
+  header.push_back(static_cast<char>(svc::MsgType::Hello));
+  ASSERT_TRUE(svc::write_all(fd.get(), header));
+  const auto error = read_error(fd.get());
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, svc::ErrorCode::OversizedFrame);
+  svc::Frame frame;
+  EXPECT_EQ(svc::read_frame(fd.get(), frame, 10'000), svc::ReadStatus::Closed);
 }
 
 // ---- the byte-identity contract ----

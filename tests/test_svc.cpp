@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -19,6 +20,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -37,6 +39,7 @@
 #include "svc/client.hpp"
 #include "svc/client_pool.hpp"
 #include "svc/protocol.hpp"
+#include "svc/connection_host.hpp"
 #include "svc/remote_backend.hpp"
 #include "svc/server.hpp"
 #include "svc/socket.hpp"
@@ -101,6 +104,24 @@ std::string evaluate_in_process(const svc::EvalRequest& request) {
   record.sized = sizer.size(topology, sizing_rng);
   return store::encode_record(key, record);
 }
+
+/// Registry counters as deltas since construction: the obs registry is
+/// process-global, shared by every server this test binary starts.
+class CounterDeltas {
+ public:
+  CounterDeltas() : base_(obs::snapshot().counters) {}
+  std::uint64_t operator()(const std::string& name) const {
+    return value(obs::snapshot().counters, name) - value(base_, name);
+  }
+
+ private:
+  static std::uint64_t value(const std::map<std::string, std::uint64_t>& map,
+                             const std::string& name) {
+    const auto it = map.find(name);
+    return it == map.end() ? 0 : it->second;
+  }
+  std::map<std::string, std::uint64_t> base_;
+};
 
 /// Server running on its own thread; drains and joins on destruction.
 struct TestServer {
@@ -207,9 +228,83 @@ TEST(SvcProtocol, AddressParsing) {
   EXPECT_THROW(svc::Address::parse("tcp:host:99999"), std::invalid_argument);
 }
 
+// ---- connection host ------------------------------------------------------
+
+/// One byte from `fd` within 10 s; '\0' on timeout, EOF or error.
+char recv_byte(int fd) {
+  struct pollfd p{fd, POLLIN, 0};
+  char byte = '\0';
+  if (::poll(&p, 1, 10'000) != 1 || ::recv(fd, &byte, 1, 0) != 1) return '\0';
+  return byte;
+}
+
+TEST(ConnectionHost, ReapsThreadsRejectsOverTheCapAndDrainsOnAWakeByte) {
+  const CounterDeltas delta;
+  std::atomic<int> rejected{0};
+  svc::ConnectionHost::Options options;
+  options.name = "test.host";
+  options.address = fresh_unix("host");
+  options.max_connections = 2;
+  svc::ConnectionHost::Hooks hooks;
+  hooks.serve = [](svc::Fd fd, std::string) {
+    // Echo one byte, then hold the connection until the peer closes.
+    const char byte = recv_byte(fd.get());
+    ASSERT_TRUE(svc::write_all(fd.get(), std::string_view(&byte, 1)));
+    while (recv_byte(fd.get()) != '\0') {
+    }
+  };
+  hooks.reject = [&](int fd) {
+    rejected.fetch_add(1);
+    svc::write_all(fd, "R");
+  };
+  svc::ConnectionHost host(options, hooks);
+  host.bind();
+  std::thread runner([&] { host.run(); });
+
+  // Short-lived connections: finished handlers are reaped as the accept
+  // loop goes, so the tracked-thread count stays small.
+  const auto echo = [&](char byte) {
+    svc::Fd fd = svc::connect_to(options.address);
+    EXPECT_TRUE(svc::write_all(fd.get(), std::string_view(&byte, 1)));
+    EXPECT_EQ(recv_byte(fd.get()), byte);
+    return fd;
+  };
+  for (int i = 0; i < 40; ++i) {
+    echo('a');
+    // Let the handler see the close, so no connection meets a full cap.
+    for (int waited = 0; host.open_connections() > 0 && waited < 10'000;
+         ++waited) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_LE(host.connection_thread_count(), 8u);
+
+  // Two held connections fill the cap; the third gets the reject hook.
+  svc::Fd first = echo('b');
+  svc::Fd second = echo('c');
+  EXPECT_EQ(host.open_connections(), 2u);
+  svc::Fd third = svc::connect_to(options.address);
+  EXPECT_EQ(recv_byte(third.get()), 'R');
+  EXPECT_EQ(rejected.load(), 1);
+
+  // Free the held handlers, then a wake byte drains the host: run()
+  // returns with every thread joined and the socket file gone.
+  first.reset();
+  second.reset();
+  const char wake = 1;
+  ASSERT_EQ(::write(host.wake_fd(), &wake, 1), 1);
+  runner.join();
+  EXPECT_TRUE(host.draining());
+  EXPECT_EQ(host.connection_thread_count(), 0u);
+  EXPECT_EQ(host.open_connections(), 0u);
+  EXPECT_EQ(delta("test.host.connections"), 42u);
+  EXPECT_FALSE(std::filesystem::exists(options.address.path));
+}
+
 // ---- end-to-end -----------------------------------------------------------
 
 TEST(SvcServer, RemoteEvaluationIsByteIdenticalToInProcess) {
+  const CounterDeltas delta;
   TestServer ts(base_config(fresh_unix("svc-bytes")));
   svc::Client client;
   client.connect(ts.server.config().address);
@@ -228,11 +323,9 @@ TEST(SvcServer, RemoteEvaluationIsByteIdenticalToInProcess) {
   EXPECT_EQ(warm.response.record_payload, reply.response.record_payload);
 
   ts.stop();
-  const svc::ServerStats stats = ts.server.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.responses_ok, 2u);
-  EXPECT_EQ(stats.served_computed, 1u);
-  EXPECT_EQ(stats.served_memory, 1u);
+  EXPECT_EQ(delta("svc.requests"), 2u);
+  EXPECT_EQ(delta("svc.served_computed"), 1u);
+  EXPECT_EQ(delta("svc.served_memory"), 1u);
 }
 
 TEST(SvcServer, WarmStoreServesAcrossServerRestarts) {
@@ -254,6 +347,7 @@ TEST(SvcServer, WarmStoreServesAcrossServerRestarts) {
   }
   {
     // Fresh server process-equivalent: empty memory cache, same store file.
+    const CounterDeltas delta;
     svc::ServerConfig config = base_config(address);
     config.store = store::EvalStore::open(store_path);
     TestServer ts(std::move(config));
@@ -264,7 +358,7 @@ TEST(SvcServer, WarmStoreServesAcrossServerRestarts) {
     EXPECT_EQ(reply.response.served_from, svc::ServedFrom::Store);
     EXPECT_EQ(reply.response.record_payload, cold_bytes);
     ts.stop();
-    EXPECT_EQ(ts.server.stats().served_store, 1u);
+    EXPECT_EQ(delta("svc.served_store"), 1u);
   }
   std::filesystem::remove(store_path);
 }
@@ -337,6 +431,7 @@ TEST(SvcServer, ReassemblesDribbledFramesAndSurvivesTornOnes) {
 }
 
 TEST(SvcServer, BusyUnderSaturation) {
+  const CounterDeltas delta;
   svc::ServerConfig config = base_config(fresh_unix("svc-busy"));
   config.max_inflight = 1;
   config.test_eval_delay_ms = 700;
@@ -366,10 +461,11 @@ TEST(SvcServer, BusyUnderSaturation) {
   EXPECT_EQ(retried.kind, svc::Reply::Kind::Ok);
 
   ts.stop();
-  EXPECT_GE(ts.server.stats().busy_rejections, 1u);
+  EXPECT_GE(delta("svc.busy_rejections"), 1u);
 }
 
 TEST(SvcServer, GracefulDrainFinishesInflightAndRefusesNewWork) {
+  const CounterDeltas delta;
   svc::ServerConfig config = base_config(fresh_unix("svc-drain"));
   config.test_eval_delay_ms = 600;
   TestServer ts(std::move(config));
@@ -401,12 +497,11 @@ TEST(SvcServer, GracefulDrainFinishesInflightAndRefusesNewWork) {
   EXPECT_TRUE(saw_ok);
   EXPECT_TRUE(saw_draining);
 
-  // run() returns (the TestServer join would hang otherwise), the stats
+  // run() returns (the TestServer join would hang otherwise), the counters
   // show exactly one served evaluation, and the socket file is gone.
   ts.stop();
-  const svc::ServerStats stats = ts.server.stats();
-  EXPECT_EQ(stats.responses_ok, 1u);
-  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(delta("svc.served_computed"), 1u);
+  EXPECT_EQ(delta("svc.errors"), 1u);
   EXPECT_FALSE(std::filesystem::exists(socket_path));
 }
 
@@ -430,8 +525,9 @@ TEST(SvcServer, IdleConnectionsAreClosed) {
 
 TEST(SvcServer, ConnectionThreadsAreReapedNotAccumulated) {
   // Regression: the accept loop must reap finished connection-handler
-  // threads as it goes (sched::JobService's announce-and-reap hygiene),
-  // not accumulate one joinable thread per connection until drain.
+  // threads as it goes (ConnectionHost's announce-and-reap hygiene), not
+  // accumulate one joinable thread per connection until drain.
+  const CounterDeltas delta;
   TestServer ts(base_config(fresh_unix("svc-reap")));
   constexpr int kConnections = 40;
   for (int i = 0; i < kConnections; ++i) {
@@ -446,12 +542,13 @@ TEST(SvcServer, ConnectionThreadsAreReapedNotAccumulated) {
   EXPECT_LE(ts.server.connection_thread_count(),
             static_cast<std::size_t>(8));
   ts.stop();
-  EXPECT_EQ(ts.server.stats().connections,
+  EXPECT_EQ(delta("svc.connections"),
             static_cast<std::uint64_t>(kConnections));
   EXPECT_EQ(ts.server.connection_thread_count(), 0u);
 }
 
 TEST(SvcServer, ConcurrentClientsDeduplicateIdenticalKeys) {
+  const CounterDeltas delta;
   svc::ServerConfig config = base_config(fresh_unix("svc-dedup"));
   config.threads = 4;
   TestServer ts(std::move(config));
@@ -479,13 +576,11 @@ TEST(SvcServer, ConcurrentClientsDeduplicateIdenticalKeys) {
   }
 
   ts.stop();
-  const svc::ServerStats stats = ts.server.stats();
-  EXPECT_EQ(stats.responses_ok, 4u);
   // Exactly one physical compute; the rest came from dedup + memory cache.
-  EXPECT_EQ(stats.served_computed +
-                stats.served_memory + stats.served_store,
+  EXPECT_EQ(delta("svc.served_computed") + delta("svc.served_memory") +
+                delta("svc.served_store"),
             4u);
-  EXPECT_EQ(stats.served_computed, 1u);
+  EXPECT_EQ(delta("svc.served_computed"), 1u);
 }
 
 TEST(SvcServer, TcpLoopbackRoundTrip) {
