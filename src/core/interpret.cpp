@@ -62,7 +62,6 @@ std::vector<StructureImpact> top_structures(const gp::WlGp& model,
     StructureImpact impact;
     impact.feature_id = id;
     impact.depth = depth;
-    impact.structure = featurizer.provenance(id);
     impact.gradient = grad[id];
     all.push_back(std::move(impact));
   }
@@ -71,6 +70,10 @@ std::vector<StructureImpact> top_structures(const gp::WlGp& model,
               return std::fabs(a.gradient) > std::fabs(b.gradient);
             });
   if (all.size() > top_k) all.resize(top_k);
+  // Provenance is rendered on demand, so only the kept entries pay for it.
+  for (StructureImpact& impact : all) {
+    impact.structure = featurizer.provenance(impact.feature_id);
+  }
   return all;
 }
 

@@ -1,8 +1,10 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -87,18 +89,31 @@ void IntoOaOptimizer::fit_models(const TopologyEvaluator& evaluator) {
     cached_ids_.clear();
   }
   for (std::size_t i = cached_ids_.size(); i < history.size(); ++i) {
-    fit_cache_->append(circuit::build_circuit_graph(history[i].topology));
+    fit_cache_->append(features(history[i].topology));
     cached_ids_.push_back(history[i].topology.index());
   }
 
-  std::vector<double> column(history.size());
-  for (std::size_t m = 0; m < kModelCount; ++m) {
-    for (std::size_t i = 0; i < history.size(); ++i) {
-      column[i] = model_targets(history[i].sized.best)[m];
-    }
-    if (m == 0) soften_invalid_objectives(history, column);
-    models_[m].fit_shared(*fit_cache_, column);
+  std::array<std::vector<double>, kModelCount> columns;
+  for (auto& column : columns) column.resize(history.size());
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const auto targets = model_targets(history[i].sized.best);
+    for (std::size_t m = 0; m < kModelCount; ++m) columns[m][i] = targets[m];
   }
+  soften_invalid_objectives(history, columns[0]);
+  std::array<std::span<const double>, kModelCount> spans;
+  for (std::size_t m = 0; m < kModelCount; ++m) spans[m] = columns[m];
+  gp::WlGp::fit_shared(*fit_cache_, models_, spans);
+}
+
+const graph::SparseVec& IntoOaOptimizer::features(
+    const circuit::Topology& topology) {
+  const auto [it, inserted] =
+      features_by_topology_.try_emplace(topology.index());
+  if (inserted) {
+    it->second = featurizer_->features(circuit::build_circuit_graph(topology),
+                                       config_.wlgp.max_h);
+  }
+  return it->second;
 }
 
 std::vector<circuit::Topology> IntoOaOptimizer::elite(
@@ -161,23 +176,23 @@ OptimizationOutcome IntoOaOptimizer::run(TopologyEvaluator& evaluator,
       }
     }
 
-    // Line 6: argmax of wEI over the pool. Featurization stays serial so the
-    // shared WL dictionary grows in candidate order exactly as in a serial
-    // run; the per-candidate GP posteriors and acquisition are then scored
-    // in parallel (read-only on the trained models and the dictionary), so
-    // the scores — and the argmax — are identical for any thread count.
+    // Line 6: argmax of wEI over the pool. Featurization (memoized per
+    // topology) stays serial so the shared WL dictionary grows in candidate
+    // order exactly as in a serial run; the per-candidate GP posteriors and
+    // acquisition are then scored in parallel (read-only on the trained
+    // models and the dictionary), so the scores — and the argmax — are
+    // identical for any thread count.
     obs::registry().counter("optimizer.iterations").add();
     obs::registry().counter("optimizer.candidates_scored").add(pool.size());
     const std::vector<double> scores = [&] {
       INTOOA_SPAN("optimizer.score_pool");
-      std::vector<graph::SparseVec> pool_features(pool.size());
+      std::vector<const graph::SparseVec*> pool_features(pool.size());
       for (std::size_t c = 0; c < pool.size(); ++c) {
-        const graph::Graph g = circuit::build_circuit_graph(pool[c]);
-        pool_features[c] = featurizer_->features(g, config_.wlgp.max_h);
+        pool_features[c] = &features(pool[c]);
       }
       return runtime::parallel_map(
           runtime::global_pool(), pool.size(), [&](std::size_t c) {
-            const graph::SparseVec& full = pool_features[c];
+            const graph::SparseVec& full = *pool_features[c];
             const gp::Prediction obj = models_[0].predict_from_features(full);
             gp::WeiInputs in;
             in.objective_mean = obj.mean;

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "circuit/spec.hpp"
@@ -69,13 +70,19 @@ class IntoOaOptimizer {
   const OptimizerConfig& config() const { return config_; }
 
   /// (Re)fits all per-metric WL-GPs to the evaluator history through the
-  /// shared incremental fit cache: records already cached are reused, new
-  /// ones extend the per-h Gram matrices and grid Cholesky factors by one
-  /// bordered row each. Pointing the optimizer at a history the cache is
-  /// not a prefix of drops and rebuilds the cache. Called once per BO
-  /// iteration by run(); public so benchmarks and tests can drive the fit
-  /// path directly.
+  /// shared incremental fit cache, in one MLE grid scan for all models:
+  /// records already cached are reused, new ones extend the per-h Gram
+  /// matrices and grid Cholesky factors by one bordered row each. Pointing
+  /// the optimizer at a history the cache is not a prefix of drops and
+  /// rebuilds the cache. Called once per BO iteration by run(); public so
+  /// benchmarks and tests can drive the fit path directly.
   void fit_models(const TopologyEvaluator& evaluator);
+
+  /// Full-depth WL features of `topology`'s circuit graph. The first call
+  /// per topology featurizes it; later calls return that vector, which is
+  /// exactly what featurizing again would return (a repeat interns no
+  /// label). The memo lives as long as the optimizer and its featurizer.
+  const graph::SparseVec& features(const circuit::Topology& topology);
 
  private:
   std::vector<circuit::Topology> elite(const TopologyEvaluator& evaluator) const;
@@ -85,6 +92,8 @@ class IntoOaOptimizer {
   std::vector<gp::WlGp> models_;  // [0] objective, [1..4] constraints
   std::unique_ptr<gp::WlFitCache> fit_cache_;
   std::vector<std::size_t> cached_ids_;  // topology index per cached record
+  // Full-depth features by topology index; references stay valid.
+  std::unordered_map<std::size_t, graph::SparseVec> features_by_topology_;
 };
 
 }  // namespace intooa::core

@@ -50,9 +50,8 @@ WlFitCache::FactorSlot& WlFitCache::slot(int h, std::size_t si,
   return factors_[(static_cast<std::size_t>(h) * ns + si) * nn + ni];
 }
 
-void WlFitCache::append(const graph::Graph& g) {
-  const std::size_t n = full_.size();
-  const graph::SparseVec full = featurizer_->features(g, max_h_);
+void WlFitCache::append(const graph::SparseVec& full) {
+  const std::size_t n = size();
 
   // Border every per-h base Gram by the new record's row/column.
   for (int h = 0; h <= max_h_; ++h) {
@@ -72,7 +71,6 @@ void WlFitCache::append(const graph::Graph& g) {
     base_[static_cast<std::size_t>(h)] = std::move(grown);
     feats.push_back(std::move(filt));
   }
-  full_.push_back(full);
 
   // Extend every live grid factor by one bordered row. A failed border
   // (matrix no longer positive definite at this cell's zero-jitter scoring)
@@ -101,7 +99,6 @@ void WlFitCache::append(const graph::Graph& g) {
 }
 
 void WlFitCache::clear() {
-  full_.clear();
   for (auto& feats : filtered_) feats.clear();
   for (auto& base : base_) base = la::MatrixD();
   for (auto& cell : factors_) {
@@ -127,7 +124,7 @@ const la::Cholesky* WlFitCache::factor(int h, std::size_t si, std::size_t ni) {
   if (!cell.chol) {
     // First request at the current size: one full factorization; appends
     // keep it current from here on.
-    const std::size_t n = full_.size();
+    const std::size_t n = size();
     const double signal = wl_signal_grid()[si];
     const double noise = wl_noise_grid()[ni];
     la::MatrixD gram = base_[static_cast<std::size_t>(h)];

@@ -7,8 +7,8 @@
 // depends only on the inputs is therefore computed once and extended
 // incrementally instead of rebuilt once per model per iteration:
 //
-//   * full-depth WL feature vectors     — one featurization per record,
-//   * per-depth filtered feature views  — one filter per (record, h),
+//   * per-depth filtered feature views  — one filter per (record, h) of
+//     the record's full-depth WL features (featurized by the caller),
 //   * per-h base Gram matrices          — bordered by one row/column,
 //   * per-(h, signal, noise) Cholesky factors of the MLE grid — extended
 //     by la::Cholesky::append_row (O(n^2)) instead of refactorized
@@ -29,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "graph/sparse.hpp"
 #include "graph/wl.hpp"
 #include "la/cholesky.hpp"
@@ -46,16 +45,17 @@ class WlFitCache {
   WlFitCache(std::shared_ptr<graph::WlFeaturizer> featurizer, int max_h);
 
   /// Number of cached records.
-  std::size_t size() const { return full_.size(); }
+  std::size_t size() const { return filtered_.front().size(); }
   int max_h() const { return max_h_; }
   const std::shared_ptr<graph::WlFeaturizer>& featurizer() const {
     return featurizer_;
   }
 
-  /// Appends one circuit graph: featurizes it at full depth, borders every
-  /// per-h base Gram by one row/column, and extends every live grid factor
-  /// by one Cholesky::append_row (counted as gp.fit.incremental_hits).
-  void append(const graph::Graph& g);
+  /// Appends one record from its full-depth WL features — featurized by
+  /// this cache's featurizer at max_h() or deeper: borders every per-h base
+  /// Gram by one row/column, and extends every live grid factor by one
+  /// Cholesky::append_row (counted as gp.fit.incremental_hits).
+  void append(const graph::SparseVec& full);
 
   /// Drops all cached state (used when an optimizer is pointed at a
   /// different evaluator history).
@@ -85,7 +85,6 @@ class WlFitCache {
 
   std::shared_ptr<graph::WlFeaturizer> featurizer_;
   int max_h_;
-  std::vector<graph::SparseVec> full_;                   // [record]
   std::vector<std::vector<graph::SparseVec>> filtered_;  // [h][record]
   std::vector<la::MatrixD> base_;                        // [h]
   std::vector<FactorSlot> factors_;  // [h][si][ni], flattened

@@ -1,5 +1,6 @@
 #include "gp/wlgp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -14,13 +15,19 @@ namespace intooa::gp {
 namespace {
 constexpr double kHalfLog2Pi = 0.9189385332046727;
 
+/// Log marginal likelihood of n standardized targets y from the fit term
+/// y^T K^{-1} y and log |K|.
+double log_marginal(double fit_term, double log_det, std::size_t n) {
+  return -0.5 * fit_term - 0.5 * log_det -
+         kHalfLog2Pi * static_cast<double>(n);
+}
+
 /// Log marginal likelihood of standardized targets under a factorized Gram.
 double log_marginal(const la::Cholesky& chol, std::span<const double> y_std) {
   const auto alpha = chol.solve(y_std);
   double fit_term = 0.0;
   for (std::size_t i = 0; i < y_std.size(); ++i) fit_term += y_std[i] * alpha[i];
-  return -0.5 * fit_term - 0.5 * chol.log_det() -
-         kHalfLog2Pi * static_cast<double>(y_std.size());
+  return log_marginal(fit_term, chol.log_det(), y_std.size());
 }
 }  // namespace
 
@@ -89,15 +96,12 @@ void WlGp::fit(const std::vector<graph::Graph>& graphs,
     full[i] = featurizer_->features(graphs[i], config_.max_h);
   }
 
-  const int h_lo = config_.fit_h ? 0 : config_.fixed_h;
-  const int h_hi = config_.fit_h ? config_.max_h : config_.fixed_h;
-
   double best_lml = -std::numeric_limits<double>::infinity();
-  int best_h = h_lo;
+  int best_h = h_lo();
   double best_signal = wl_signal_grid().front();
   double best_noise = wl_noise_grid().front();
 
-  for (int h = h_lo; h <= h_hi; ++h) {
+  for (int h = h_lo(); h <= h_hi(); ++h) {
     std::vector<graph::SparseVec> feats(n);
     for (std::size_t i = 0; i < n; ++i) feats[i] = filtered(full[i], h);
     la::MatrixD base(n, n);
@@ -156,69 +160,109 @@ void WlGp::fit(const std::vector<graph::Graph>& graphs,
 }
 
 void WlGp::fit_shared(WlFitCache& cache, std::span<const double> targets) {
+  const std::span<const double> columns[] = {targets};
+  fit_shared(cache, std::span<WlGp>(this, 1), columns);
+}
+
+void WlGp::fit_shared(WlFitCache& cache, std::span<WlGp> models,
+                      std::span<const std::span<const double>> targets) {
   INTOOA_SPAN("gp.fit");
+  const std::size_t n = cache.size();
+  const std::size_t cols = models.size();
   obs::registry()
       .histogram("gp.cholesky_dim")
-      .record(static_cast<std::uint64_t>(cache.size()));
-  if (cache.featurizer() != featurizer_) {
-    throw std::invalid_argument("WlGp::fit_shared: cache featurizer differs");
+      .record(static_cast<std::uint64_t>(n));
+  if (targets.size() != cols) {
+    throw std::invalid_argument("WlGp::fit_shared: one target column per model");
   }
-  if (cache.size() != targets.size()) {
-    throw std::invalid_argument("WlGp::fit_shared: size mismatch");
+  for (std::size_t m = 0; m < cols; ++m) {
+    if (cache.featurizer() != models[m].featurizer_) {
+      throw std::invalid_argument("WlGp::fit_shared: cache featurizer differs");
+    }
+    if (targets[m].size() != n) {
+      throw std::invalid_argument("WlGp::fit_shared: size mismatch");
+    }
+    if (models[m].config_.max_h > cache.max_h()) {
+      throw std::invalid_argument("WlGp::fit_shared: cache max_h too small");
+    }
   }
-  if (cache.size() < 2) {
-    throw std::invalid_argument(
-        "WlGp::fit_shared: need at least 2 observations");
+  if (n < 2) {
+    throw std::invalid_argument("WlGp::fit_shared: need at least 2 observations");
   }
-  if (config_.max_h > cache.max_h()) {
-    throw std::invalid_argument("WlGp::fit_shared: cache max_h too small");
+  if (cols == 0) return;
+
+  // Standardized targets: y_std[m] per model, and the same columns side by
+  // side (row-major n x cols) as the right-hand side of each cell's solve.
+  std::vector<std::vector<double>> y_std(cols);
+  std::vector<double> rhs(n * cols);
+  int h_lo = models[0].h_lo();
+  int h_hi = models[0].h_hi();
+  for (std::size_t m = 0; m < cols; ++m) {
+    models[m].standardize(targets[m], y_std[m]);
+    for (std::size_t i = 0; i < n; ++i) rhs[i * cols + m] = y_std[m][i];
+    h_lo = std::min(h_lo, models[m].h_lo());
+    h_hi = std::max(h_hi, models[m].h_hi());
   }
 
-  std::vector<double> y_std;
-  standardize(targets, y_std);
-
-  const int h_lo = config_.fit_h ? 0 : config_.fixed_h;
-  const int h_hi = config_.fit_h ? config_.max_h : config_.fixed_h;
-
-  // Same grid, same scan order, same strict-> tie-breaking as fit(); only
-  // the factorizations are shared (and maintained incrementally) instead of
-  // rebuilt per model.
-  double best_lml = -std::numeric_limits<double>::infinity();
-  int best_h = h_lo;
-  std::size_t best_si = 0;
-  std::size_t best_ni = 0;
+  // Same grid, same scan order, same strict-> tie-breaking per model as
+  // fit(); each cell's factor is shared (and maintained incrementally) and
+  // solved once for all columns instead of once per model.
+  struct Best {
+    double lml = -std::numeric_limits<double>::infinity();
+    int h = 0;
+    std::size_t si = 0;
+    std::size_t ni = 0;
+  };
+  std::vector<Best> best(cols);
+  for (std::size_t m = 0; m < cols; ++m) best[m].h = models[m].h_lo();
+  std::vector<double> alpha(n * cols);
+  const auto searches = [&](std::size_t m, int h) {
+    return models[m].h_lo() <= h && h <= models[m].h_hi();
+  };
   for (int h = h_lo; h <= h_hi; ++h) {
+    bool any = false;
+    for (std::size_t m = 0; m < cols; ++m) any |= searches(m, h);
+    if (!any) continue;  // no model searches this depth: leave its cells
     for (std::size_t si = 0; si < wl_signal_grid().size(); ++si) {
       for (std::size_t ni = 0; ni < wl_noise_grid().size(); ++ni) {
         const la::Cholesky* chol = cache.factor(h, si, ni);
         if (chol == nullptr) continue;
-        const double lml = log_marginal(*chol, y_std);
-        if (lml > best_lml) {
-          best_lml = lml;
-          best_h = h;
-          best_si = si;
-          best_ni = ni;
+        const double log_det = chol->log_det();
+        alpha = rhs;
+        chol->solve_in_place(alpha, cols);
+        for (std::size_t m = 0; m < cols; ++m) {
+          if (!searches(m, h)) continue;
+          double fit_term = 0.0;
+          for (std::size_t i = 0; i < n; ++i) {
+            fit_term += y_std[m][i] * alpha[i * cols + m];
+          }
+          const double lml = log_marginal(fit_term, log_det, n);
+          if (lml > best[m].lml) best[m] = {lml, h, si, ni};
         }
       }
     }
   }
-  if (!std::isfinite(best_lml)) {
-    throw std::runtime_error("WlGp::fit_shared: no viable hyperparameters");
+  for (const Best& b : best) {
+    if (!std::isfinite(b.lml)) {
+      throw std::runtime_error("WlGp::fit_shared: no viable hyperparameters");
+    }
   }
-
-  hyper_h_ = best_h;
-  hyper_signal_ = wl_signal_grid()[best_si];
-  hyper_noise_ = wl_noise_grid()[best_ni];
-  hyper_lml_ = best_lml;
 
   // The winning cell factorized exactly during scoring, so the final fit is
   // a copy of its factor — the same L the full path's final factorization
   // produces, with zero jitter by construction.
-  features_ = cache.features_at(best_h);
-  chol_ = std::make_unique<la::Cholesky>(*cache.factor(best_h, best_si,
-                                                       best_ni));
-  obs::registry().gauge("gp.fit.jitter").set(chol_->jitter());
-  alpha_ = chol_->solve(y_std);
+  for (std::size_t m = 0; m < cols; ++m) {
+    WlGp& model = models[m];
+    model.hyper_h_ = best[m].h;
+    model.hyper_signal_ = wl_signal_grid()[best[m].si];
+    model.hyper_noise_ = wl_noise_grid()[best[m].ni];
+    model.hyper_lml_ = best[m].lml;
+    model.features_ = cache.features_at(best[m].h);
+    model.chol_ = std::make_unique<la::Cholesky>(
+        *cache.factor(best[m].h, best[m].si, best[m].ni));
+    obs::registry().gauge("gp.fit.jitter").set(model.chol_->jitter());
+    model.alpha_ = model.chol_->solve(y_std[m]);
+  }
 }
 
 Prediction WlGp::predict(const graph::Graph& g) const {
@@ -228,19 +272,41 @@ Prediction WlGp::predict(const graph::Graph& g) const {
 
 Prediction WlGp::predict_from_features(const graph::SparseVec& full) const {
   if (!trained()) throw std::logic_error("WlGp::predict: model not trained");
-  const graph::SparseVec phi = filtered(full, hyper_h_);
+  const std::size_t labels = featurizer_->label_count();
+  if (full.dim() > labels) {
+    throw std::out_of_range("WlGp::predict_from_features: unknown label id");
+  }
+  // phi_h(G) is scattered into a zeroed dense buffer, and each training
+  // vector (already depth <= h) is gathered through it: the nonzero
+  // products are graph::dot's, met in the same ascending-index order, and
+  // every other term adds an exact +0.0. Everything that can throw happens
+  // before the scatter, so the buffer is always left zeroed.
   const std::size_t n = features_.size();
   std::vector<double> kvec(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    kvec[i] = hyper_signal_ * graph::dot(phi, features_[i]);
+  thread_local std::vector<double> dense;
+  if (dense.size() < labels) dense.resize(labels, 0.0);
+  double dot_self = 0.0;
+  for (const auto& [idx, val] : full.entries()) {
+    if (featurizer_->depth_of(idx) > hyper_h_) continue;
+    dense[idx] = val;
+    dot_self += val * val;
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (const auto& [idx, val] : features_[i].entries()) {
+      acc += dense[idx] * val;
+    }
+    kvec[i] = hyper_signal_ * acc;
+  }
+  for (const auto& [idx, val] : full.entries()) dense[idx] = 0.0;
+
   double mean_std = 0.0;
   for (std::size_t i = 0; i < n; ++i) mean_std += kvec[i] * alpha_[i];
 
   const auto v = chol_->solve_lower(kvec);
   double quad = 0.0;
   for (double vi : v) quad += vi * vi;
-  const double self = hyper_signal_ * graph::dot(phi, phi);
+  const double self = hyper_signal_ * dot_self;
   const double var_std = std::max(0.0, self - quad);
 
   Prediction out;

@@ -20,6 +20,7 @@
 // identification and topology refinement).
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gp/gp.hpp"
@@ -61,12 +62,21 @@ class WlGp {
 
   /// Same model selection and posterior as fit(), but consuming the shared
   /// per-h Gram matrices and incrementally-maintained grid factors of
-  /// `cache` instead of rebuilding them: all models of one optimizer score
-  /// the same factors and only differ in the standardized target vector.
-  /// `cache` must be built on this model's featurizer, hold one record per
-  /// target, and cover at least this model's max_h. Bit-identical to fit()
-  /// on the same data.
+  /// `cache` instead of rebuilding them. `cache` must be built on this
+  /// model's featurizer, hold one record per target, and cover at least
+  /// this model's max_h. Bit-identical to fit() on the same data; it is
+  /// the one-model case of the scan below.
   void fit_shared(WlFitCache& cache, std::span<const double> targets);
+
+  /// Fits every model of `models` to its own column `targets[m]` in one
+  /// scan of the MLE grid over `cache`: each (h, signal, noise) cell's
+  /// factor is visited and its log-determinant taken once, and all
+  /// standardized columns are solved against it together. Each model keeps
+  /// its own depth range and strict-> tie-breaking, so every model ends
+  /// bit-identical to its own fit_shared() — and to fit() — on the same
+  /// data. Counts as one `gp.fit` span.
+  static void fit_shared(WlFitCache& cache, std::span<WlGp> models,
+                         std::span<const std::span<const double>> targets);
 
   bool trained() const { return chol_ != nullptr; }
   std::size_t size() const { return features_.size(); }
@@ -76,7 +86,9 @@ class WlGp {
 
   /// Same as predict(), but from a precomputed full-depth (max_h) feature
   /// vector of the shared featurizer — lets callers featurize a candidate
-  /// once and query all M per-metric models.
+  /// once and query all M per-metric models. Each kernel entry is the same
+  /// products summed in the same ascending-index order as graph::dot of
+  /// the depth-filtered vectors.
   Prediction predict_from_features(const graph::SparseVec& full) const;
 
   /// Expected posterior-mean derivative w.r.t. every WL feature count
@@ -105,6 +117,9 @@ class WlGp {
  private:
   graph::SparseVec filtered(const graph::SparseVec& full, int h) const;
   void standardize(std::span<const double> targets, std::vector<double>& y_std);
+  /// Depth range of the MLE search.
+  int h_lo() const { return config_.fit_h ? 0 : config_.fixed_h; }
+  int h_hi() const { return config_.fit_h ? config_.max_h : config_.fixed_h; }
 
   std::shared_ptr<graph::WlFeaturizer> featurizer_;
   WlGpConfig config_;

@@ -8,8 +8,17 @@
 // interpretable — feature j always denotes one specific circuit structure,
 // whose human-readable description the featurizer can report
 // (`provenance(j)`).
+//
+// The dictionary stores each label as its integer definition, not as text:
+// a depth-0 label is the node's label string, a depth-d label (d >= 1) is
+// the tuple (d, own depth-(d-1) id, sorted neighbour depth-(d-1) ids). All
+// tuples live in one flat arena behind an open-addressing index, so a label
+// costs a few integers and no allocation of its own. The readable rooted
+// subtree ("RCs{v1,vout}") is rendered from the tuple only when asked for.
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,24 +53,43 @@ class WlFeaturizer {
 
   /// Total number of distinct labels (= feature dimensions) discovered so
   /// far across all featurized graphs.
-  std::size_t label_count() const { return provenance_.size(); }
+  std::size_t label_count() const { return depth_.size(); }
 
   /// WL iteration depth at which feature `id` appears (0 = raw node label).
   int depth_of(std::size_t id) const;
 
   /// Human-readable description of the circuit structure feature `id`
-  /// counts. Depth-0 features are plain node labels ("RCs", "v1", ...);
-  /// deeper features show the rooted subtree, e.g. "RCs{v1,vout}".
-  const std::string& provenance(std::size_t id) const;
+  /// counts, rendered from the label's definition on each call. Depth-0
+  /// features are plain node labels ("RCs", "v1", ...); deeper features
+  /// show the rooted subtree, e.g. "RCs{v1,vout}". The text of a depth-d
+  /// label grows like degree^d, so deep renders are long.
+  std::string provenance(std::size_t id) const;
 
  private:
-  std::size_t intern(const std::string& signature, int depth,
-                     std::string provenance);
+  /// Writes the label id of node v at depth d to out[d * n + v] for
+  /// d = 0..h, interning new labels in node order, depth by depth.
+  void label_nodes(const Graph& g, int h, std::vector<std::size_t>& out);
+  std::size_t intern_text(const std::string& label);
+  /// `key` is (own id, sorted neighbour ids) of a depth-`depth` label.
+  std::size_t intern_tuple(int depth, std::span<const std::uint32_t> key);
+  std::size_t push_label(int depth, std::span<const std::uint32_t> record);
+  void grow_index();
+  void render(std::size_t id, std::string& out) const;
 
   int max_h_;
-  std::unordered_map<std::string, std::size_t> ids_;
-  std::vector<std::string> provenance_;
+  // Per label id: its depth, and its definition arena_[begin_[id]] ..
+  // arena_[begin_[id + 1]] — (own, neighbours...) at depth >= 1, the index
+  // into root_text_ at depth 0.
   std::vector<int> depth_;
+  std::vector<std::uint32_t> begin_ = {0};
+  std::vector<std::uint32_t> arena_;
+  // Open-addressing (linear probing) index over the depth >= 1 labels: per
+  // occupied slot the tuple's hash and id + 1, 0 when empty; the size is a
+  // power of two, at most half full.
+  std::vector<std::uint64_t> slots_;
+  // Depth-0 labels, keyed by their text.
+  std::unordered_map<std::string, std::uint32_t> root_ids_;
+  std::vector<std::string> root_text_;
 };
 
 /// Restriction of a full-depth feature vector to the entries of WL depth

@@ -1,5 +1,9 @@
 #include "la/cholesky.hpp"
 
+#include <algorithm>
+#include <array>
+#include <utility>
+
 namespace intooa::la {
 
 Cholesky::Cholesky(const MatrixD& a, double initial_jitter, int max_attempts) {
@@ -109,6 +113,62 @@ MatrixD Cholesky::solve(const MatrixD& b) const {
     for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = sol[r];
   }
   return x;
+}
+
+namespace {
+
+// Solves columns j0 .. j0 + K - 1 of the row-major block b (cols wide) in
+// place, each with exactly solve()'s operations in solve()'s order. The K
+// running sums of a row stay in registers, so the K dependency chains
+// overlap instead of running one after another.
+template <std::size_t K>
+void solve_block(const MatrixD& l, double* b, std::size_t cols,
+                 std::size_t j0) {
+  const std::size_t n = l.rows();
+  double acc[K] = {};
+  // Forward substitution L Y = B.
+  for (std::size_t r = 0; r < n; ++r) {
+    double* row = b + r * cols + j0;
+    for (std::size_t k = 0; k < K; ++k) acc[k] = row[k];
+    for (std::size_t c = 0; c < r; ++c) {
+      const double lrc = l(r, c);
+      const double* y = b + c * cols + j0;
+      for (std::size_t k = 0; k < K; ++k) acc[k] -= lrc * y[k];
+    }
+    for (std::size_t k = 0; k < K; ++k) row[k] = acc[k] / l(r, r);
+  }
+  // Back substitution L^T X = Y.
+  for (std::size_t ri = n; ri-- > 0;) {
+    double* row = b + ri * cols + j0;
+    for (std::size_t k = 0; k < K; ++k) acc[k] = row[k];
+    for (std::size_t c = ri + 1; c < n; ++c) {
+      const double lci = l(c, ri);
+      const double* x = b + c * cols + j0;
+      for (std::size_t k = 0; k < K; ++k) acc[k] -= lci * x[k];
+    }
+    for (std::size_t k = 0; k < K; ++k) row[k] = acc[k] / l(ri, ri);
+  }
+}
+
+constexpr std::size_t kMaxBlock = 8;
+
+template <std::size_t... K>
+constexpr auto solve_block_table(std::index_sequence<K...>) {
+  return std::array{&solve_block<K + 1>...};
+}
+
+}  // namespace
+
+void Cholesky::solve_in_place(std::span<double> b, std::size_t cols) const {
+  if (b.size() != order() * cols) {
+    throw std::invalid_argument("Cholesky::solve_in_place: size mismatch");
+  }
+  static constexpr auto kSolveBlock =
+      solve_block_table(std::make_index_sequence<kMaxBlock>{});
+  for (std::size_t j0 = 0; j0 < cols; j0 += kMaxBlock) {
+    const std::size_t width = std::min(kMaxBlock, cols - j0);
+    kSolveBlock[width - 1](l_, b.data(), cols, j0);
+  }
 }
 
 std::vector<double> Cholesky::solve_lower(std::span<const double> b) const {

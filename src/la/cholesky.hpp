@@ -59,6 +59,13 @@ class Cholesky {
   /// Solves A X = B column by column.
   MatrixD solve(const MatrixD& b) const;
 
+  /// Solves A X = B in place for the order() x `cols` row-major block `b`
+  /// (column j is b[r * cols + j]). Every column goes through exactly the
+  /// operations solve() applies to it, so each result column is
+  /// bit-identical to solve() of that column; the columns share one sweep
+  /// over L instead of one sweep each.
+  void solve_in_place(std::span<double> b, std::size_t cols) const;
+
   /// Solves L y = b (forward substitution only); used for GP variance
   /// computations where v = L^{-1} k gives sigma^2 = k** - v^T v.
   std::vector<double> solve_lower(std::span<const double> b) const;

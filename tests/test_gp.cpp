@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
+#include <set>
+#include <span>
 
+#include "circuit/circuit_graph.hpp"
+#include "circuit/topology.hpp"
+#include "core/optimizer.hpp"
 #include "gp/acquisition.hpp"
 #include "gp/fit_cache.hpp"
 #include "gp/gp.hpp"
@@ -16,6 +23,7 @@
 #include "graph/wl.hpp"
 #include "la/cholesky.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -291,17 +299,20 @@ TEST(WlGp, Validation) {
 TEST(WlFitCache, SharedFitMatchesFullFitIncrementally) {
   // Grow the cache one record at a time (exercising factor materialization
   // at one size and border updates at every later size) and, at each size,
-  // compare fit_shared against an independent full fit on two different
-  // target columns. The shared path is bit-identical, so hyperparameters,
-  // LML, and held-out predictions must match exactly.
+  // fit five target columns in one shared scan and compare every model
+  // against an independent full fit and against a one-model scan. The
+  // shared path is bit-identical, so hyperparameters, LML, and held-out
+  // predictions must match exactly. Two models search narrower depth
+  // ranges, so the scan's per-model ranges are exercised as well.
   auto feat = std::make_shared<graph::WlFeaturizer>(3);
-  WlGpConfig config;
-  config.max_h = 3;
+  const std::array<WlGpConfig, 5> configs = {
+      WlGpConfig{.max_h = 3}, WlGpConfig{.max_h = 3}, WlGpConfig{.max_h = 3},
+      WlGpConfig{.max_h = 2},
+      WlGpConfig{.max_h = 3, .fit_h = false, .fixed_h = 1}};
   WlFitCache cache(feat, 3);
   util::Rng rng(41);
   std::vector<graph::Graph> graphs;
-  std::vector<double> count_targets;
-  std::vector<double> edge_targets;
+  std::array<std::vector<double>, 5> targets;
   for (int i = 0; i < 10; ++i) {
     std::vector<std::string> labels;
     const int n = 3 + static_cast<int>(rng.index(3));
@@ -313,32 +324,43 @@ TEST(WlFitCache, SharedFitMatchesFullFitIncrementally) {
       if (labels[j] != labels[j + 1]) ++ab_edges;
     }
     graphs.push_back(make_chain(labels));
-    count_targets.push_back(static_cast<double>(
+    targets[0].push_back(static_cast<double>(
         std::count(labels.begin(), labels.end(), std::string("B"))));
-    edge_targets.push_back(static_cast<double>(ab_edges));
+    targets[1].push_back(static_cast<double>(ab_edges));
+    targets[2].push_back(static_cast<double>(n));
+    targets[3].push_back(labels.front() == "B" ? 1.0 : 0.0);
+    targets[4].push_back(rng.normal());
   }
   const graph::Graph held_out = make_chain({"A", "B", "A", "B"});
 
   for (std::size_t n = 0; n < graphs.size(); ++n) {
-    cache.append(graphs[n]);
+    cache.append(feat->features(graphs[n], 3));
     if (n + 1 < 2) continue;
     const std::vector<graph::Graph> prefix(graphs.begin(),
                                            graphs.begin() + n + 1);
-    for (const auto* targets : {&count_targets, &edge_targets}) {
-      const std::vector<double> y(targets->begin(), targets->begin() + n + 1);
-      WlGp full(feat, config);
-      full.fit(prefix, y);
-      WlGp shared(feat, config);
-      shared.fit_shared(cache, y);
-      EXPECT_EQ(shared.chosen_h(), full.chosen_h());
-      EXPECT_DOUBLE_EQ(shared.signal_variance(), full.signal_variance());
-      EXPECT_DOUBLE_EQ(shared.noise_variance(), full.noise_variance());
-      EXPECT_DOUBLE_EQ(shared.log_marginal_likelihood(),
-                       full.log_marginal_likelihood());
-      const Prediction p_full = full.predict(held_out);
-      const Prediction p_shared = shared.predict(held_out);
-      EXPECT_DOUBLE_EQ(p_shared.mean, p_full.mean);
-      EXPECT_DOUBLE_EQ(p_shared.variance, p_full.variance);
+    std::vector<WlGp> shared;
+    std::vector<std::span<const double>> columns;
+    for (std::size_t m = 0; m < configs.size(); ++m) {
+      shared.emplace_back(feat, configs[m]);
+      columns.emplace_back(targets[m].data(), n + 1);
+    }
+    WlGp::fit_shared(cache, shared, columns);
+    for (std::size_t m = 0; m < configs.size(); ++m) {
+      WlGp full(feat, configs[m]);
+      full.fit(prefix, columns[m]);
+      WlGp alone(feat, configs[m]);
+      alone.fit_shared(cache, columns[m]);
+      for (const WlGp* other : {&full, &alone}) {
+        EXPECT_EQ(shared[m].chosen_h(), other->chosen_h());
+        EXPECT_EQ(shared[m].signal_variance(), other->signal_variance());
+        EXPECT_EQ(shared[m].noise_variance(), other->noise_variance());
+        EXPECT_EQ(shared[m].log_marginal_likelihood(),
+                  other->log_marginal_likelihood());
+        const Prediction p_other = other->predict(held_out);
+        const Prediction p_shared = shared[m].predict(held_out);
+        EXPECT_EQ(p_shared.mean, p_other.mean);
+        EXPECT_EQ(p_shared.variance, p_other.variance);
+      }
     }
   }
 }
@@ -349,9 +371,11 @@ TEST(WlFitCache, Validation) {
   EXPECT_THROW(WlFitCache(feat, 3), std::invalid_argument);
   EXPECT_THROW(WlFitCache(feat, -1), std::invalid_argument);
 
+  const graph::SparseVec ab = feat->features(make_chain({"A", "B"}), 2);
+  const graph::SparseVec bb = feat->features(make_chain({"B", "B"}), 2);
   WlFitCache cache(feat, 2);
-  cache.append(make_chain({"A", "B"}));
-  cache.append(make_chain({"B", "B"}));
+  cache.append(ab);
+  cache.append(bb);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_THROW(cache.features_at(3), std::out_of_range);
   EXPECT_THROW(cache.factor(0, 99, 0), std::out_of_range);
@@ -364,14 +388,137 @@ TEST(WlFitCache, Validation) {
   WlGp other(other_feat, WlGpConfig{.max_h = 2});
   EXPECT_THROW(other.fit_shared(cache, two), std::invalid_argument);
 
+  // The scan takes exactly one target column per model.
+  std::vector<WlGp> models;
+  models.emplace_back(feat, WlGpConfig{.max_h = 2});
+  models.emplace_back(feat, WlGpConfig{.max_h = 2});
+  const std::vector<std::span<const double>> columns = {two};
+  EXPECT_THROW(WlGp::fit_shared(cache, models, columns),
+               std::invalid_argument);
+
   // A cache shallower than the model's max_h cannot serve its grid.
   WlFitCache shallow(feat, 1);
-  shallow.append(make_chain({"A", "B"}));
-  shallow.append(make_chain({"B", "B"}));
+  shallow.append(ab);
+  shallow.append(bb);
   EXPECT_THROW(gp.fit_shared(shallow, two), std::invalid_argument);
 
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// The posterior of Eqs. 3-4 for a model fitted to `train` / `targets`,
+// written out with graph::dot over depth-filtered vectors: how
+// predict_from_features computed it before it gathered each training
+// vector through a dense buffer.
+Prediction dot_product_posterior(const WlGp& model,
+                                 const std::vector<graph::SparseVec>& train,
+                                 std::span<const double> targets,
+                                 const graph::SparseVec& full) {
+  const std::size_t n = train.size();
+  const double signal = model.signal_variance();
+  la::MatrixD gram(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      const double k = signal * graph::dot(train[i], train[j]);
+      gram(i, j) = k;
+      gram(j, i) = k;
+    }
+    gram(i, i) += model.noise_variance();
+  }
+  const la::Cholesky chol(gram);
+  const double y_mean = util::mean(targets);
+  const double sd = util::stddev(targets);
+  const double y_scale = sd > 1e-12 ? sd : 1.0;
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) y[i] = (targets[i] - y_mean) / y_scale;
+  const std::vector<double> alpha = chol.solve(y);
+
+  const graph::SparseVec phi =
+      graph::filter_by_depth(full, model.featurizer(), model.chosen_h());
+  std::vector<double> kvec(n);
+  double mean_std = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    kvec[i] = signal * graph::dot(phi, train[i]);
+  }
+  for (std::size_t i = 0; i < n; ++i) mean_std += kvec[i] * alpha[i];
+  double quad = 0.0;
+  for (double vi : chol.solve_lower(kvec)) quad += vi * vi;
+  const double var_std = std::max(0.0, signal * graph::dot(phi, phi) - quad);
+  return {mean_std * y_scale + y_mean, var_std * y_scale * y_scale};
+}
+
+TEST(WlGp, PredictionMatchesDotProductPosterior) {
+  // Five models fitted in one scan to different targets over circuit
+  // graphs, at several chosen depths. Every prediction over a
+  // 200-candidate pool must equal the dot-product posterior bit for bit:
+  // the dense gather adds graph::dot's products in graph::dot's order,
+  // plus exact +0.0 terms.
+  auto feat = std::make_shared<graph::WlFeaturizer>(6);
+  WlFitCache cache(feat, 6);
+  util::Rng rng(43);
+  std::array<std::vector<double>, 5> targets;
+  for (int i = 0; i < 30; ++i) {
+    const circuit::Topology topo = circuit::Topology::random(rng);
+    cache.append(feat->features(circuit::build_circuit_graph(topo), 6));
+    const auto& types = topo.types();
+    for (std::size_t m = 0; m < targets.size(); ++m) {
+      targets[m].push_back(static_cast<double>(types[m]) +
+                           0.1 * rng.normal());
+    }
+  }
+  const std::array<WlGpConfig, 5> configs = {
+      WlGpConfig{}, WlGpConfig{}, WlGpConfig{},
+      WlGpConfig{.fit_h = false, .fixed_h = 3},
+      WlGpConfig{.fit_h = false, .fixed_h = 3}};
+  std::vector<WlGp> models;
+  std::vector<std::span<const double>> columns;
+  for (std::size_t m = 0; m < configs.size(); ++m) {
+    models.emplace_back(feat, configs[m]);
+    columns.emplace_back(targets[m]);
+  }
+  WlGp::fit_shared(cache, models, columns);
+  std::set<int> depths;
+  for (const WlGp& model : models) depths.insert(model.chosen_h());
+  ASSERT_GT(depths.size(), 1u);
+
+  std::vector<graph::SparseVec> pool;
+  for (int c = 0; c < 200; ++c) {
+    pool.push_back(feat->features(
+        circuit::build_circuit_graph(circuit::Topology::random(rng)), 6));
+  }
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const std::vector<graph::SparseVec>& train =
+        cache.features_at(models[m].chosen_h());
+    for (const graph::SparseVec& full : pool) {
+      const Prediction got = models[m].predict_from_features(full);
+      const Prediction want =
+          dot_product_posterior(models[m], train, targets[m], full);
+      EXPECT_EQ(got.mean, want.mean);
+      EXPECT_EQ(got.variance, want.variance);
+    }
+  }
+}
+
+TEST(WlGp, MemoizedFeaturesEqualRefeaturization) {
+  // The optimizer featurizes each topology once. Featurizing a memoized
+  // topology again interns nothing and yields an equal vector, which is
+  // why the memo cannot change any kernel, id or campaign result.
+  core::IntoOaOptimizer optimizer;
+  const auto feat = optimizer.featurizer();
+  const int max_h = optimizer.config().wlgp.max_h;
+  util::Rng rng(47);
+  std::vector<circuit::Topology> topologies;
+  for (int i = 0; i < 20; ++i) {
+    topologies.push_back(circuit::Topology::random(rng));
+    optimizer.features(topologies.back());
+  }
+  const std::size_t labels = feat->label_count();
+  for (const circuit::Topology& topo : topologies) {
+    const graph::SparseVec& memo = optimizer.features(topo);
+    EXPECT_EQ(&memo, &optimizer.features(topo));
+    EXPECT_EQ(feat->features(circuit::build_circuit_graph(topo), max_h), memo);
+  }
+  EXPECT_EQ(feat->label_count(), labels);
 }
 
 TEST(Acquisition, ExpectedImprovementKnownValues) {

@@ -3,15 +3,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "circuit/circuit_graph.hpp"
+#include "circuit/topology.hpp"
 #include "graph/graph.hpp"
 #include "graph/sparse.hpp"
 #include "graph/wl.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using namespace intooa::graph;
+using intooa::util::Rng;
+namespace circuit = intooa::circuit;
 
 Graph path3() {
   Graph g;
@@ -255,6 +265,123 @@ TEST(Wl, DepthOutOfRangeThrows) {
   EXPECT_THROW(feat.features(path3(), 3), std::invalid_argument);
   EXPECT_THROW(feat.features(path3(), -1), std::invalid_argument);
   EXPECT_THROW(WlFeaturizer(-1), std::invalid_argument);
+}
+
+// The dictionary WlFeaturizer had before it keyed labels by integer tuple,
+// kept as the oracle: decimal signature strings as keys and an eagerly
+// built provenance string per label.
+class StringSignatureWl {
+ public:
+  std::vector<std::vector<std::size_t>> node_labels(const Graph& g, int h) {
+    const std::size_t n = g.node_count();
+    std::vector<std::vector<std::size_t>> levels;
+    std::vector<std::size_t> current(n);
+    for (NodeId v = 0; v < n; ++v) {
+      const std::string& label = g.label(v);
+      current[v] = intern("0|" + label, 0, label);
+    }
+    levels.push_back(current);
+    std::vector<std::size_t> next(n);
+    for (int iter = 1; iter <= h; ++iter) {
+      for (NodeId v = 0; v < n; ++v) {
+        std::vector<std::size_t> neigh;
+        for (NodeId u : g.neighbors(v)) neigh.push_back(current[u]);
+        std::sort(neigh.begin(), neigh.end());
+        std::string signature =
+            std::to_string(iter) + "|" + std::to_string(current[v]) + "(";
+        std::string readable = provenance_[current[v]] + "{";
+        for (std::size_t i = 0; i < neigh.size(); ++i) {
+          if (i) {
+            signature += ",";
+            readable += ",";
+          }
+          signature += std::to_string(neigh[i]);
+          readable += provenance_[neigh[i]];
+        }
+        signature += ")";
+        readable += "}";
+        next[v] = intern(signature, iter, std::move(readable));
+      }
+      current = next;
+      levels.push_back(current);
+    }
+    return levels;
+  }
+
+  std::size_t label_count() const { return provenance_.size(); }
+  int depth_of(std::size_t id) const { return depth_[id]; }
+  const std::string& provenance(std::size_t id) const {
+    return provenance_[id];
+  }
+
+ private:
+  std::size_t intern(const std::string& signature, int depth,
+                     std::string provenance) {
+    const auto [it, inserted] = ids_.try_emplace(signature, provenance_.size());
+    if (inserted) {
+      provenance_.push_back(std::move(provenance));
+      depth_.push_back(depth);
+    }
+    return it->second;
+  }
+
+  std::unordered_map<std::string, std::size_t> ids_;
+  std::vector<std::string> provenance_;
+  std::vector<int> depth_;
+};
+
+TEST(Wl, IntegerDictionaryMatchesStringSignatureOracle) {
+  // Same circuit graphs, same order: every node label at every depth, the
+  // label count, and the rendered provenance must equal the eager
+  // string-keyed dictionary's.
+  WlFeaturizer feat(6);
+  StringSignatureWl oracle;
+  Rng rng(2025);
+  for (int t = 0; t < 2000; ++t) {
+    const Graph g =
+        circuit::build_circuit_graph(circuit::Topology::random(rng));
+    ASSERT_EQ(feat.node_labels(g, 6), oracle.node_labels(g, 6));
+  }
+  ASSERT_EQ(feat.label_count(), oracle.label_count());
+  for (std::size_t id = 0; id < feat.label_count(); ++id) {
+    ASSERT_EQ(feat.depth_of(id), oracle.depth_of(id));
+    if (oracle.depth_of(id) <= 2) {
+      ASSERT_EQ(feat.provenance(id), oracle.provenance(id)) << "id " << id;
+    }
+  }
+  for (int s = 0; s < 300; ++s) {
+    const std::size_t id = rng.index(feat.label_count());
+    ASSERT_EQ(feat.provenance(id), oracle.provenance(id)) << "id " << id;
+  }
+}
+
+std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Wl, GoldenLabelIds) {
+  // Pins the id order every kernel, campaign CSV and digest depends on:
+  // FNV-1a-64 over the (id, count) pairs of 500 seeded circuit graphs'
+  // depth-6 features and the final label count. Integers only, so the
+  // constant holds for any compiler and libm.
+  WlFeaturizer feat(6);
+  Rng rng(2025);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int t = 0; t < 500; ++t) {
+    const SparseVec phi = feat.features(
+        circuit::build_circuit_graph(circuit::Topology::random(rng)), 6);
+    for (const auto& [id, count] : phi.entries()) {
+      h = fnv1a_word(h, id);
+      h = fnv1a_word(h, static_cast<std::uint64_t>(count));
+    }
+  }
+  h = fnv1a_word(h, feat.label_count());
+  EXPECT_EQ(feat.label_count(), 26852u);
+  EXPECT_EQ(h, 0x9d3de669402f649full);
 }
 
 TEST(Wl, EmptyGraph) {

@@ -261,6 +261,39 @@ TEST(Cholesky, AppendRowMatchesFreshFactorization) {
   }
 }
 
+TEST(Cholesky, SolveInPlaceMatchesPerColumnSolve) {
+  // Several right-hand sides solved side by side must give each column
+  // exactly the bits of solve() on that column alone.
+  intooa::util::Rng rng(79);
+  const std::size_t n = 23;
+  const std::size_t cols = 5;
+  MatrixD b(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.normal();
+  }
+  MatrixD a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < n; ++k) acc += b(i, k) * b(j, k);
+      a(i, j) = acc;
+    }
+    a(i, i) += 1e-3;
+  }
+  const Cholesky chol(a);
+  std::vector<double> block(n * cols);
+  for (double& v : block) v = rng.normal();
+  std::vector<double> solved = block;
+  chol.solve_in_place(solved, cols);
+  for (std::size_t j = 0; j < cols; ++j) {
+    std::vector<double> column(n);
+    for (std::size_t r = 0; r < n; ++r) column[r] = block[r * cols + j];
+    const std::vector<double> x = chol.solve(column);
+    for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(solved[r * cols + j], x[r]);
+  }
+  EXPECT_THROW(chol.solve_in_place(solved, cols + 1), std::invalid_argument);
+}
+
 TEST(Cholesky, AppendRowRejectsNonPositiveDefinite) {
   MatrixD a = {{1}};
   auto chol = Cholesky::try_exact(a);
