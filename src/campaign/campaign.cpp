@@ -1,6 +1,5 @@
 #include "campaign/campaign.hpp"
 
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -15,9 +14,10 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "runtime/campaign_runner.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/executor.hpp"
+#include "store/checkpoint.hpp"
 #include "svc/remote_backend.hpp"
+#include "util/fs.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 
@@ -119,13 +119,7 @@ std::string campaign_csv_path(const std::string& cache_dir,
 }
 
 void save_campaign_csv(const std::string& path, const CampaignSet& set) {
-  std::filesystem::create_directories(
-      std::filesystem::path(path).parent_path());
-  std::ofstream out(path);
-  if (!out) {
-    util::log_warn("cannot write campaign cache " + path);
-    return;
-  }
+  std::ostringstream out;
   out.precision(12);
   for (const auto& run : set.runs) {
     out << "run," << run.success << "," << run.final_fom << ","
@@ -137,6 +131,13 @@ void save_campaign_csv(const std::string& path, const CampaignSet& set) {
     out << "\ncurve";
     for (double v : run.curve) out << "," << v;
     out << "\n";
+  }
+  // Durable atomic publish: a crash leaves the previous CSV or the complete
+  // new one, never a torn file that would pass for a finished campaign.
+  try {
+    util::atomic_write_file(path, out.str());
+  } catch (const std::exception& e) {
+    util::log_warn("cannot write campaign cache " + path + ": " + e.what());
   }
 }
 
@@ -197,6 +198,9 @@ std::optional<CampaignSet> load_campaign_csv(const std::string& path,
         if (!field.empty()) run.curve.push_back(std::stod(field));
       }
     }
+    // Every saved curve holds exactly budget() points and ends its line: a
+    // shorter curve, or a last line without its newline, is a torn file.
+    if (run.curve.size() != params.budget() || in.eof()) return std::nullopt;
     set.runs.push_back(std::move(run));
   }
   if (set.runs.size() != params.runs) return std::nullopt;
@@ -272,8 +276,8 @@ RunResult run_single(const std::string& spec_name, Method method,
   if (remote) svc::attach(evaluator, remote);
 
   if (!checkpoint_path.empty() &&
-      runtime::load_evaluator_checkpoint(checkpoint_path, checkpoint_token,
-                                         evaluator)) {
+      store::load_evaluator_checkpoint(checkpoint_path, checkpoint_token,
+                                       evaluator)) {
     util::log_info("resumed " + checkpoint_token + " from checkpoint (" +
                    std::to_string(evaluator.total_simulations()) +
                    " simulations saved)");
@@ -318,8 +322,8 @@ RunResult run_single(const std::string& spec_name, Method method,
   }
 
   if (!checkpoint_path.empty()) {
-    runtime::save_evaluator_checkpoint(checkpoint_path, checkpoint_token,
-                                       evaluator);
+    store::save_evaluator_checkpoint(checkpoint_path, checkpoint_token,
+                                     evaluator);
   }
   return run_result_from_evaluator(evaluator, params);
 }

@@ -114,13 +114,15 @@ std::string campaign_csv_path(const std::string& cache_dir,
                               const std::string& spec, Method method,
                               const CampaignParams& params);
 
-/// Writes the campaign CSV cache (creating parent directories). The byte
-/// layout is the scheduler's byte-identity contract: given equal RunResults
-/// the file is identical however the campaign was executed.
+/// Publishes the campaign CSV cache with util::atomic_write_file (creating
+/// parent directories); an I/O failure is a warning. The byte layout is
+/// the scheduler's byte-identity contract: given equal RunResults the file
+/// is identical however the campaign was executed.
 void save_campaign_csv(const std::string& path, const CampaignSet& set);
 
-/// Loads a campaign CSV cache; nullopt when absent, corrupt, or written
-/// under a different run count.
+/// Loads a campaign CSV cache; nullopt when absent, corrupt, torn (a curve
+/// of other than budget() points, or a last line without its newline), or
+/// written under a different run count.
 std::optional<CampaignSet> load_campaign_csv(const std::string& path,
                                              const std::string& spec,
                                              Method method,

@@ -1,7 +1,7 @@
 #pragma once
 // SIGINT/SIGTERM drain for the campaign benches — the same discipline as
 // intooa-served: on the first signal, runs already admitted to the pool
-// finish and publish their checkpoints (runtime::save_evaluator_checkpoint
+// finish and publish their checkpoints (store::save_evaluator_checkpoint
 // goes through util::atomic_write_file, so a checkpoint is either complete
 // or absent), queued runs are skipped, and the bench exits 128+signal
 // WITHOUT writing the campaign CSV cache — a partial campaign must never

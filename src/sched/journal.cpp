@@ -1,90 +1,29 @@
 #include "sched/journal.hpp"
 
-#include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/crc32.hpp"
-#include "util/fs.hpp"
-#include "util/log.hpp"
 #include "util/wire.hpp"
 
 namespace intooa::sched {
 
 namespace {
 
-constexpr char kMagic[16] = {'i', 'n', 't', 'o', 'o', 'a', '-', 's',
-                             'c', 'h', 'e', 'd', 'j', 'r', 'n', 'l'};
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + 2 * sizeof(std::uint32_t);
-/// Sanity cap on one event payload; a "length" beyond this is corruption
-/// (the largest real event is a Submitted with a few spec names).
-constexpr std::uint32_t kMaxPayload = 1u << 20;
+/// The largest real event is a Submitted with a few spec names.
+constexpr store::LogFormat kFormat{"intooa-schedjrnl", kJournalVersion,
+                                   1u << 20, "job journal"};
 
 enum class EventKind : std::uint8_t {
   Submitted = 1,
   UnitDone = 2,
   StateChanged = 3,
 };
-
-std::string header_bytes() {
-  std::string out(kHeaderSize, '\0');
-  std::memcpy(out.data(), kMagic, sizeof(kMagic));
-  const std::uint32_t version = kJournalVersion;
-  std::memcpy(out.data() + sizeof(kMagic), &version, sizeof(version));
-  return out;  // trailing u32 stays zero (reserved)
-}
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-std::uint64_t file_size(int fd) {
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) fail("sched: journal fstat");
-  return static_cast<std::uint64_t>(st.st_size);
-}
-
-bool pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset) {
-  auto* out = static_cast<char*>(buf);
-  while (n > 0) {
-    const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(offset));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (got == 0) return false;
-    out += got;
-    offset += static_cast<std::uint64_t>(got);
-    n -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-void pwrite_exact(int fd, const void* buf, std::size_t n,
-                  std::uint64_t offset) {
-  const auto* data = static_cast<const char*>(buf);
-  while (n > 0) {
-    const ssize_t put = ::pwrite(fd, data, n, static_cast<off_t>(offset));
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      fail("sched: journal pwrite");
-    }
-    data += put;
-    offset += static_cast<std::uint64_t>(put);
-    n -= static_cast<std::size_t>(put);
-  }
-}
 
 obs::Counter& events_counter() {
   static obs::Counter& c = obs::registry().counter("sched.journal.events");
@@ -156,90 +95,34 @@ bool apply_event(std::string_view payload,
 
 }  // namespace
 
-JobJournal::JobJournal(std::string path) : path_(std::move(path)) {}
-
-JobJournal::~JobJournal() {
-  if (fd_ >= 0) {
-    ::flock(fd_, LOCK_UN);
-    ::close(fd_);
-  }
-}
+JobJournal::JobJournal(std::string path) : log_(std::move(path), kFormat) {}
 
 std::unique_ptr<JobJournal> JobJournal::open(const std::string& path,
                                              JournalRecovery& recovery) {
   INTOOA_SPAN("sched.journal.open");
   recovery = JournalRecovery{};
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-
   auto journal = std::unique_ptr<JobJournal>(new JobJournal(path));
-  journal->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (journal->fd_ < 0) fail("sched: journal open " + path);
-  // Exclusive for the journal's lifetime: unlike the eval store (shared by
-  // concurrent writers per append), exactly one scheduler owns a journal.
-  if (::flock(journal->fd_, LOCK_EX | LOCK_NB) != 0) {
+  // Exclusive for the journal's lifetime (closing the fd releases it):
+  // unlike the eval store (shared by concurrent writers per append),
+  // exactly one scheduler owns a journal.
+  if (::flock(journal->log_.fd(), LOCK_EX | LOCK_NB) != 0) {
     throw std::runtime_error("sched: journal " + path +
                              " is locked by another scheduler process");
   }
+  recovery.recovered_tail_bytes = journal->log_.init_header();
 
-  std::uint64_t size = file_size(journal->fd_);
-  if (size == 0) {
-    const std::string header = header_bytes();
-    pwrite_exact(journal->fd_, header.data(), header.size(), 0);
-    util::fsync_fd(journal->fd_, path);
-    journal->end_offset_ = header.size();
-    return journal;
-  }
-  if (size < kHeaderSize) {
-    throw std::runtime_error("sched: journal " + path +
-                             " is shorter than its header");
-  }
-  char magic[sizeof(kMagic)];
-  std::uint32_t version = 0;
-  if (!pread_exact(journal->fd_, magic, sizeof(magic), 0) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("sched: " + path + " is not a job journal");
-  }
-  if (!pread_exact(journal->fd_, &version, sizeof(version), sizeof(kMagic)) ||
-      version != kJournalVersion) {
-    throw std::runtime_error("sched: journal " + path + " has version " +
-                             std::to_string(version) + ", expected " +
-                             std::to_string(kJournalVersion));
-  }
-
-  // Replay: scan intact frames, truncate at the first torn or corrupt one.
+  // Replay: apply intact events, truncate at the first torn or corrupt one.
   std::map<std::uint64_t, RecoveredJob> jobs;
   std::vector<std::uint64_t> order;
-  std::uint64_t offset = kHeaderSize;
-  while (offset < size) {
-    std::uint32_t frame[2] = {0, 0};  // length, crc
-    if (size - offset < sizeof(frame)) break;
-    if (!pread_exact(journal->fd_, frame, sizeof(frame), offset)) break;
-    const std::uint32_t length = frame[0];
-    if (length > kMaxPayload || size - offset - sizeof(frame) < length) break;
-    std::string payload(length, '\0');
-    if (!pread_exact(journal->fd_, payload.data(), length,
-                     offset + sizeof(frame))) {
-      break;
-    }
-    if (util::crc32(payload) != frame[1]) break;
-    if (!apply_event(payload, jobs, order, recovery)) break;
+  const std::uint64_t tail = journal->log_.scan([&](const store::Frame& f) {
+    if (!apply_event(f.payload, jobs, order, recovery)) return false;
     recovery.events += 1;
-    offset += sizeof(frame) + length;
-  }
-  if (offset < size) {
-    recovery.recovered_tail_bytes = size - offset;
+    return true;
+  });
+  recovery.recovered_tail_bytes += journal->log_.truncate_tail(tail);
+  if (recovery.recovered_tail_bytes > 0) {
     recovered_tail_counter().add(recovery.recovered_tail_bytes);
-    util::log_warn("sched: journal tail truncated",
-                   {{"path", path},
-                    {"recovered_bytes", recovery.recovered_tail_bytes},
-                    {"events", recovery.events}});
-    if (::ftruncate(journal->fd_, static_cast<off_t>(offset)) != 0) {
-      fail("sched: journal ftruncate");
-    }
-    util::fsync_fd(journal->fd_, path);
   }
-  journal->end_offset_ = offset;
 
   recovery.jobs.reserve(order.size());
   for (const std::uint64_t id : order) {
@@ -249,22 +132,10 @@ std::unique_ptr<JobJournal> JobJournal::open(const std::string& path,
 }
 
 void JobJournal::append(std::string_view payload) {
-  if (payload.size() > kMaxPayload) {
-    throw std::length_error("sched: journal event exceeds " +
-                            std::to_string(kMaxPayload) + " bytes");
-  }
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string frame;
-  frame.reserve(2 * sizeof(std::uint32_t) + payload.size());
-  util::WireWriter writer(frame);
-  writer.u32(static_cast<std::uint32_t>(payload.size()));
-  writer.u32(util::crc32(payload));
-  frame.append(payload);
-  pwrite_exact(fd_, frame.data(), frame.size(), end_offset_);
   // fsync per event: a UnitDone the scheduler acted on (checkpoint already
   // published) must survive a crash, or restart would redo paid work.
-  util::fsync_fd(fd_, path_);
-  end_offset_ += frame.size();
+  log_.append(payload);
   events_counter().add();
 }
 

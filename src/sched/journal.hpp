@@ -1,8 +1,8 @@
 #pragma once
-// Append-only job journal of intooa-schedd — the store-log discipline
-// applied to scheduler state: a 16-byte magic + versioned header, then CRC-
-// framed event records (u32 len | u32 crc32(payload) | payload), fsync'd
-// per append, with rebuild-on-open and torn-tail truncation. A daemon that
+// Append-only job journal of intooa-schedd: a framed log
+// (store/frame_log.hpp, docs/PERSISTENCE.md) with magic "intooa-schedjrnl"
+// whose frames are events of at most 1 MiB, fsync'd per append, with
+// rebuild-on-open and torn-tail truncation. A daemon that
 // dies (even SIGKILL mid-append) reopens the journal, replays the intact
 // prefix, and resumes every non-terminal job from the units the journal
 // proved done — whose evaluator checkpoints exist on disk, because a
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "sched/job.hpp"
+#include "store/frame_log.hpp"
 
 namespace intooa::sched {
 
@@ -41,7 +42,7 @@ struct JournalRecovery {
   std::vector<RecoveredJob> jobs;  ///< in submission order
   std::uint64_t next_job_id = 1;   ///< max journaled id + 1
   std::uint64_t events = 0;        ///< intact events replayed
-  std::uint64_t recovered_tail_bytes = 0;  ///< torn/corrupt bytes truncated
+  std::uint64_t recovered_tail_bytes = 0;  ///< torn/corrupt bytes dropped
 };
 
 /// The journal file. Writes are serialized by an internal mutex and
@@ -50,14 +51,14 @@ struct JournalRecovery {
 class JobJournal {
  public:
   /// Opens (creating if absent) and replays the journal. Corrupt or torn
-  /// trailing bytes are truncated (counted in recovery.recovered_tail_bytes
-  /// and the sched.journal.recovered_tail_bytes counter); a bad header or
-  /// wrong version throws std::runtime_error — silently reinterpreting a
-  /// foreign file would corrupt job history.
+  /// trailing bytes are truncated, and a strict prefix of the header (a
+  /// crash during creation) opens empty; both are counted in
+  /// recovery.recovered_tail_bytes and the
+  /// sched.journal.recovered_tail_bytes counter. A bad header or wrong
+  /// version throws std::runtime_error — silently reinterpreting a foreign
+  /// file would corrupt job history.
   static std::unique_ptr<JobJournal> open(const std::string& path,
                                           JournalRecovery& recovery);
-
-  ~JobJournal();
 
   JobJournal(const JobJournal&) = delete;
   JobJournal& operator=(const JobJournal&) = delete;
@@ -68,16 +69,14 @@ class JobJournal {
   void state_changed(std::uint64_t job_id, JobState state,
                      const std::string& message);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
   explicit JobJournal(std::string path);
 
   void append(std::string_view payload);
 
-  std::string path_;
-  int fd_ = -1;
-  std::uint64_t end_offset_ = 0;
+  store::FrameLog log_;
   std::mutex mutex_;
 };
 

@@ -1,55 +1,32 @@
 #include "store/store.hpp"
 
-#include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "store/record_io.hpp"
-#include "util/crc32.hpp"
-#include "util/fs.hpp"
 #include "util/log.hpp"
 
 namespace intooa::store {
 
 namespace {
 
-constexpr char kMagic[16] = {'i', 'n', 't', 'o', 'o', 'a', '-', 'e',
-                             'v', 'a', 'l', 's', 't', 'o', 'r', 'e'};
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + 2 * sizeof(std::uint32_t);
-/// Sanity cap on one frame payload; a "length" beyond this is corruption.
-constexpr std::uint32_t kMaxPayload = 1u << 26;
-
-struct FrameHeader {
-  std::uint32_t length = 0;
-  std::uint32_t crc = 0;
-};
-
-std::string header_bytes() {
-  std::string out(kHeaderSize, '\0');
-  std::memcpy(out.data(), kMagic, sizeof(kMagic));
-  const std::uint32_t version = kStoreVersion;
-  std::memcpy(out.data() + sizeof(kMagic), &version, sizeof(version));
-  return out;  // trailing u32 stays zero (reserved)
-}
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
+constexpr LogFormat kFormat{"intooa-evalstore", kStoreVersion, 1u << 26,
+                            "evaluation store"};
 
 /// Exclusive or shared advisory lock on the log fd, released on scope exit.
 class FlockGuard {
  public:
   FlockGuard(int fd, int op) : fd_(fd) {
     while (::flock(fd_, op) != 0) {
-      if (errno != EINTR) fail("store: flock");
+      if (errno != EINTR) {
+        throw std::runtime_error(std::string("store: flock: ") +
+                                 std::strerror(errno));
+      }
     }
   }
   ~FlockGuard() { ::flock(fd_, LOCK_UN); }
@@ -59,44 +36,6 @@ class FlockGuard {
  private:
   int fd_;
 };
-
-std::uint64_t file_size(int fd) {
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) fail("store: fstat");
-  return static_cast<std::uint64_t>(st.st_size);
-}
-
-/// pread exactly `n` bytes at `offset`; false on EOF-before-n or error.
-bool pread_exact(int fd, void* buf, std::size_t n, std::uint64_t offset) {
-  auto* out = static_cast<char*>(buf);
-  while (n > 0) {
-    const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(offset));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (got == 0) return false;
-    out += got;
-    offset += static_cast<std::uint64_t>(got);
-    n -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-void pwrite_exact(int fd, const void* buf, std::size_t n,
-                  std::uint64_t offset) {
-  const auto* data = static_cast<const char*>(buf);
-  while (n > 0) {
-    const ssize_t put = ::pwrite(fd, data, n, static_cast<off_t>(offset));
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      fail("store: pwrite");
-    }
-    data += put;
-    offset += static_cast<std::uint64_t>(put);
-    n -= static_cast<std::size_t>(put);
-  }
-}
 
 obs::Counter& hits_counter() {
   static obs::Counter& c = obs::registry().counter("store.hits");
@@ -118,11 +57,7 @@ obs::Counter& recovered_counter() {
 
 }  // namespace
 
-EvalStore::EvalStore(std::string path) : path_(std::move(path)) {}
-
-EvalStore::~EvalStore() {
-  if (fd_ >= 0) ::close(fd_);
-}
+EvalStore::EvalStore(std::string path) : log_(std::move(path), kFormat) {}
 
 std::shared_ptr<EvalStore> EvalStore::open(const std::string& path) {
   std::shared_ptr<EvalStore> store(new EvalStore(path));
@@ -132,110 +67,32 @@ std::shared_ptr<EvalStore> EvalStore::open(const std::string& path) {
 
 void EvalStore::open_and_recover() {
   INTOOA_SPAN("store.open");
-  std::error_code ec;
-  const bool existed = std::filesystem::exists(path_, ec);
-  if (!existed) {
-    // Durable creation: the header is published atomically, so a crash
-    // during creation leaves either no store or a complete empty one.
-    util::atomic_write_file(path_, header_bytes());
-  }
-  fd_ = ::open(path_.c_str(), O_RDWR);
-  if (fd_ < 0) fail("store: cannot open " + path_);
-
-  FlockGuard lock(fd_, LOCK_EX);
-  const std::uint64_t size = file_size(fd_);
-  if (size < kHeaderSize) {
-    // Zero-length or torn-at-creation file: every byte (if any) fails to
-    // form a header, so the longest valid prefix is empty — reinitialize.
-    std::string head(static_cast<std::size_t>(size), '\0');
-    if (size > 0 && !pread_exact(fd_, head.data(), head.size(), 0)) {
-      fail("store: cannot read " + path_);
-    }
-    if (head != header_bytes().substr(0, head.size())) {
-      throw std::runtime_error("store: " + path_ +
-                               " is not an intooa evaluation store");
-    }
-    if (::ftruncate(fd_, 0) != 0) fail("store: ftruncate " + path_);
-    const std::string header = header_bytes();
-    pwrite_exact(fd_, header.data(), header.size(), 0);
-    util::fsync_fd(fd_, path_);
-    util::log_warn("store " + path_ + ": recovered truncated header",
-                   {{"dropped_bytes", size}});
-    stats_.recovered_tail_bytes += size;
-    recovered_counter().add(size);
-  } else {
-    std::string head(kHeaderSize, '\0');
-    if (!pread_exact(fd_, head.data(), head.size(), 0)) {
-      fail("store: cannot read " + path_);
-    }
-    if (std::memcmp(head.data(), kMagic, sizeof(kMagic)) != 0) {
-      throw std::runtime_error("store: " + path_ +
-                               " is not an intooa evaluation store");
-    }
-    std::uint32_t version = 0;
-    std::memcpy(&version, head.data() + sizeof(kMagic), sizeof(version));
-    if (version != kStoreVersion) {
-      throw std::runtime_error(
-          "store: " + path_ + " has incompatible format version " +
-          std::to_string(version) + " (this build reads version " +
-          std::to_string(kStoreVersion) +
-          "); use a matching build or a fresh --store file");
-    }
-  }
-  end_offset_ = kHeaderSize;
+  FlockGuard lock(log_.fd(), LOCK_EX);
+  count_recovered(log_.init_header());
   scan_locked(/*truncate_tail=*/true);
-  util::log_info("store " + path_ + " opened",
-                 {{"records", index_.size()},
-                  {"bytes", end_offset_}});
+  util::log_info("store " + path() + " opened",
+                 {{"records", index_.size()}, {"bytes", log_.end()}});
+}
+
+void EvalStore::count_recovered(std::uint64_t bytes) {
+  if (bytes == 0) return;
+  stats_.recovered_tail_bytes += bytes;
+  recovered_counter().add(bytes);
 }
 
 void EvalStore::scan_locked(bool truncate_tail) {
-  const std::uint64_t size = file_size(fd_);
-  std::string payload;
-  while (end_offset_ + sizeof(FrameHeader) <= size) {
-    FrameHeader frame;
-    if (!pread_exact(fd_, &frame, sizeof frame, end_offset_)) break;
-    if (frame.length > kMaxPayload ||
-        end_offset_ + sizeof frame + frame.length > size) {
-      break;  // torn or insane frame: the valid prefix ends here
-    }
-    payload.resize(frame.length);
-    if (!pread_exact(fd_, payload.data(), payload.size(),
-                     end_offset_ + sizeof frame)) {
-      break;
-    }
-    if (util::crc32(payload) != frame.crc) break;  // bit rot / torn write
-    if (const auto digest = peek_digest(payload)) {
+  const std::uint64_t tail = log_.scan([this](const Frame& frame) {
+    if (const auto digest = peek_digest(frame.payload)) {
       Entry entry;
-      entry.offset = end_offset_ + sizeof frame;
-      entry.length = frame.length;
+      entry.offset = frame.offset;
+      entry.length = static_cast<std::uint32_t>(frame.payload.size());
       entry.crc = frame.crc;
       index_.emplace(*digest, entry);  // first record of a digest wins
     }
-    end_offset_ += sizeof frame + frame.length;
-  }
+    return true;
+  });
   stats_.records = index_.size();
-  if (end_offset_ < size && truncate_tail) {
-    const std::uint64_t dropped = size - end_offset_;
-    if (::ftruncate(fd_, static_cast<off_t>(end_offset_)) != 0) {
-      fail("store: ftruncate " + path_);
-    }
-    util::fsync_fd(fd_, path_);
-    util::log_warn("store " + path_ + ": dropped corrupt tail",
-                   {{"dropped_bytes", dropped},
-                    {"valid_records", index_.size()}});
-    stats_.recovered_tail_bytes += dropped;
-    recovered_counter().add(dropped);
-  }
-}
-
-std::optional<std::string> EvalStore::read_payload_locked(const Entry& entry) {
-  std::string payload(entry.length, '\0');
-  if (!pread_exact(fd_, payload.data(), payload.size(), entry.offset)) {
-    return std::nullopt;
-  }
-  if (util::crc32(payload) != entry.crc) return std::nullopt;
-  return payload;
+  if (truncate_tail) count_recovered(log_.truncate_tail(tail));
 }
 
 std::optional<core::EvalRecord> EvalStore::lookup(const core::EvalKey& key) {
@@ -246,14 +103,15 @@ std::optional<core::EvalRecord> EvalStore::lookup(const core::EvalKey& key) {
     // Another process may have appended since our last scan: extend the
     // index over any new valid frames (read-only — a torn foreign tail is
     // left for the next writer to truncate) and retry once.
-    if (file_size(fd_) > end_offset_) {
-      FlockGuard lock(fd_, LOCK_SH);
+    if (log_.size() > log_.end()) {
+      FlockGuard lock(log_.fd(), LOCK_SH);
       scan_locked(/*truncate_tail=*/false);
       it = index_.find(key.digest);
     }
   }
   if (it != index_.end()) {
-    if (auto payload = read_payload_locked(it->second)) {
+    const Entry& entry = it->second;
+    if (auto payload = log_.read(entry.offset, entry.length, entry.crc)) {
       if (auto decoded = decode_record(*payload)) {
         if (decoded->key.fingerprint == key.fingerprint) {
           ++stats_.hits;
@@ -262,15 +120,15 @@ std::optional<core::EvalRecord> EvalStore::lookup(const core::EvalKey& key) {
         }
         // 64-bit digest collision between different evaluation contexts:
         // degrade to a miss (the colliding key can never be stored).
-        util::log_warn("store " + path_ + ": key digest collision",
+        util::log_warn("store " + path() + ": key digest collision",
                        {{"digest", it->first}});
       } else {
-        util::log_warn("store " + path_ + ": undecodable record, ignoring",
-                       {{"offset", it->second.offset}});
+        util::log_warn("store " + path() + ": undecodable record, ignoring",
+                       {{"offset", entry.offset}});
       }
     } else {
-      util::log_warn("store " + path_ + ": record failed checksum, ignoring",
-                     {{"offset", it->second.offset}});
+      util::log_warn("store " + path() + ": record failed checksum, ignoring",
+                     {{"offset", entry.offset}});
     }
   }
   ++stats_.misses;
@@ -282,28 +140,19 @@ bool EvalStore::append(const core::EvalKey& key,
                        const core::EvalRecord& record) {
   INTOOA_SPAN("store.append");
   std::lock_guard<std::mutex> guard(mutex_);
-  FlockGuard lock(fd_, LOCK_EX);
+  FlockGuard lock(log_.fd(), LOCK_EX);
   // Pick up foreign appends (and, holding the writer lock, truncate any
   // tail a crashed writer left) so the duplicate check sees every record.
   scan_locked(/*truncate_tail=*/true);
   if (index_.count(key.digest) > 0) return false;
 
   const std::string payload = encode_record(key, record);
-  FrameHeader frame;
-  frame.length = static_cast<std::uint32_t>(payload.size());
-  frame.crc = util::crc32(payload);
-  std::string bytes(sizeof frame + payload.size(), '\0');
-  std::memcpy(bytes.data(), &frame, sizeof frame);
-  std::memcpy(bytes.data() + sizeof frame, payload.data(), payload.size());
-  pwrite_exact(fd_, bytes.data(), bytes.size(), end_offset_);
-  util::fsync_fd(fd_, path_);
-
+  const Frame frame = log_.append(payload);
   Entry entry;
-  entry.offset = end_offset_ + sizeof frame;
-  entry.length = frame.length;
+  entry.offset = frame.offset;
+  entry.length = static_cast<std::uint32_t>(payload.size());
   entry.crc = frame.crc;
   index_.emplace(key.digest, entry);
-  end_offset_ += bytes.size();
   stats_.records = index_.size();
   ++stats_.appends;
   appends_counter().add();

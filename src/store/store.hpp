@@ -6,13 +6,12 @@
 // pipeline, byte-identically to a cold run (sizing is a pure function of
 // the core::EvalKey, see core/eval_key.hpp).
 //
-// On-disk format (docs/PERSISTENCE.md):
-//   header  : 16-byte magic "intooa-evalstore", u32 version, u32 reserved
-//   frame*  : u32 payload_len | u32 crc32(payload) | payload
-// where payload is the record_io encoding of (EvalKey, EvalRecord). The
-// log is append-only; records are immutable once written. On open, the log
-// is scanned to rebuild the in-memory index; the first torn or
-// checksum-failing frame ends the valid prefix and the tail beyond it is
+// On-disk format: a framed log (store/frame_log.hpp, docs/PERSISTENCE.md)
+// with magic "intooa-evalstore", version kStoreVersion, whose frame
+// payloads are the record_io encoding of (EvalKey, EvalRecord), capped at
+// 64 MiB. The log is append-only; records are immutable once written. On
+// open, the log is scanned to rebuild the in-memory index; the first torn
+// or checksum-failing frame ends the valid prefix and the tail beyond it is
 // truncated away (with a warning and the "store.recovered_tail_bytes"
 // counter), so a crash mid-append never poisons the store.
 //
@@ -37,6 +36,7 @@
 
 #include "core/eval_key.hpp"
 #include "core/evaluator.hpp"
+#include "store/frame_log.hpp"
 
 namespace intooa::store {
 
@@ -60,8 +60,6 @@ class EvalStore {
   /// or was written by an incompatible format version.
   static std::shared_ptr<EvalStore> open(const std::string& path);
 
-  ~EvalStore();
-
   EvalStore(const EvalStore&) = delete;
   EvalStore& operator=(const EvalStore&) = delete;
 
@@ -78,7 +76,7 @@ class EvalStore {
   std::size_t size() const;
 
   StoreStats stats() const;
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
   explicit EvalStore(std::string path);
@@ -90,16 +88,14 @@ class EvalStore {
   };
 
   void open_and_recover();
-  /// Scans frames from end_offset_ to the end of the log, indexing them;
+  /// Scans the frames after the log's valid prefix, indexing them;
   /// truncates a trailing invalid frame. Caller holds mutex_ + flock.
   void scan_locked(bool truncate_tail);
-  std::optional<std::string> read_payload_locked(const Entry& entry);
+  void count_recovered(std::uint64_t bytes);
 
-  std::string path_;
-  int fd_ = -1;
+  FrameLog log_;
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> index_;
-  std::uint64_t end_offset_ = 0;  ///< end of the scanned valid prefix
   StoreStats stats_;
 };
 

@@ -1,11 +1,14 @@
 #pragma once
 // Durable filesystem primitives shared by every on-disk persistence layer
-// (runtime checkpoints, the evaluation store). The core operation is the
-// classic crash-safe publish sequence: write a private temp file, fsync it,
-// rename it over the target, then fsync the parent directory so the rename
-// itself survives a power cut. A reader therefore observes either the old
-// file, the new file, or no file — never a torn one, and never a file whose
-// name exists but whose contents were lost.
+// (the framed log under the evaluation store and the job journal,
+// evaluator checkpoints, campaign CSVs). The core operation is the classic
+// crash-safe publish sequence for whole files (checkpoints, CSVs): write a
+// private temp file, fsync it, rename it over the target, then fsync the
+// parent directory so the rename itself survives a power cut. A reader
+// therefore observes either the old file, the new file, or no file — never
+// a torn one, and never a file whose name exists but whose contents were
+// lost. Append-only logs are never created this way: a rename would
+// replace a file another process already opened (store/frame_log.hpp).
 
 #include <string>
 #include <string_view>

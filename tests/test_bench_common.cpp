@@ -1,7 +1,7 @@
 // Tests for the experiment harness (src/campaign): campaign aggregation
 // math (success rates, mean curves, simulations-to-reference), the
-// reference-FoM rule, CLI plumbing, the disk cache round trip, and the
-// parallel/checkpoint-resume guarantees (byte-identical results for any
+// reference-FoM rule, CLI plumbing, the disk cache round trip and its
+// torn-file rejection, and the parallel/checkpoint-resume guarantees (byte-identical results for any
 // thread count and across an interrupt).
 
 #include <gtest/gtest.h>
@@ -134,6 +134,39 @@ TEST(Campaign, RunAndCacheRoundTrip) {
     }
   }
   std::filesystem::remove_all(cache_dir);
+}
+
+TEST(Campaign, TornCsvIsNotLoaded) {
+  // A CSV cut inside its last curve line (a crash in the middle of writing
+  // it) must never pass for a finished campaign.
+  const CampaignParams params = tiny_params();
+  CampaignSet set;
+  set.params = params;
+  for (std::size_t r = 0; r < params.runs; ++r) {
+    RunResult run;
+    run.success = true;
+    run.final_fom = 400.0 + static_cast<double>(r);
+    run.best_values = {1e-4, 2.5e-4};
+    for (std::size_t i = 0; i < params.budget(); ++i) {
+      run.curve.push_back(100.0 + 0.125 * static_cast<double>(i));
+    }
+    set.runs.push_back(run);
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "intooa_campaign_torn.csv")
+          .string();
+  save_campaign_csv(path, set);
+  ASSERT_TRUE(
+      load_campaign_csv(path, "S-1", Method::IntoOa, params).has_value());
+  const auto full = std::filesystem::file_size(path);
+  for (const std::uintmax_t cut : {1, 3, 12, 40}) {
+    save_campaign_csv(path, set);
+    std::filesystem::resize_file(path, full - cut);
+    EXPECT_FALSE(
+        load_campaign_csv(path, "S-1", Method::IntoOa, params).has_value())
+        << "loaded a CSV missing its last " << cut << " bytes";
+  }
+  std::filesystem::remove(path);
 }
 
 void expect_sets_identical(const CampaignSet& a, const CampaignSet& b) {

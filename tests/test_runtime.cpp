@@ -1,22 +1,16 @@
 // Unit tests for intooa::runtime — thread pool and futures, deterministic
-// parallel primitives (identical results for any thread count), campaign
-// fan-out ordering, and exact checkpoint round-trips of TopologyEvaluator
-// state.
+// parallel primitives (identical results for any thread count) and campaign
+// fan-out ordering. Evaluator checkpoints are tested with intooa::store.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "circuit/library.hpp"
-#include "core/evaluator.hpp"
 #include "runtime/campaign_runner.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
@@ -189,118 +183,6 @@ TEST(CampaignRunner, ResultsInJobOrder) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], (1000 + i) * 2);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint round-trips.
-
-sizing::SizingConfig tiny_sizing() {
-  sizing::SizingConfig config;
-  config.init_points = 2;
-  config.iterations = 2;
-  config.candidates = 32;
-  return config;
-}
-
-core::TopologyEvaluator fresh_evaluator() {
-  return core::TopologyEvaluator(
-      sizing::EvalContext(circuit::spec_by_name("S-1")), tiny_sizing());
-}
-
-void expect_points_equal(const sizing::EvalPoint& a,
-                         const sizing::EvalPoint& b) {
-  EXPECT_EQ(a.perf, b.perf);  // exact: Performance == compares raw doubles
-  EXPECT_EQ(a.fom, b.fom);
-  EXPECT_EQ(a.margins, b.margins);
-  EXPECT_EQ(a.feasible, b.feasible);
-}
-
-std::string temp_checkpoint(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-TEST(Checkpoint, RoundTripIsExact) {
-  auto original = fresh_evaluator();
-  util::Rng rng(2024);
-  original.evaluate(circuit::named_topology("NMC"));
-  original.evaluate(circuit::named_topology("C1"));
-  original.evaluate(circuit::Topology::random(rng));
-
-  const std::string path = temp_checkpoint("intooa_ckpt_roundtrip.ckpt");
-  save_evaluator_checkpoint(path, "token-a", original);
-
-  auto restored = fresh_evaluator();
-  ASSERT_TRUE(load_evaluator_checkpoint(path, "token-a", restored));
-
-  EXPECT_EQ(restored.total_simulations(), original.total_simulations());
-  ASSERT_EQ(restored.history().size(), original.history().size());
-  for (std::size_t i = 0; i < original.history().size(); ++i) {
-    const auto& want = original.history()[i];
-    const auto& got = restored.history()[i];
-    EXPECT_EQ(got.topology, want.topology);
-    EXPECT_TRUE(restored.visited(want.topology));
-    EXPECT_EQ(got.sims_before, want.sims_before);
-    EXPECT_EQ(got.sized.simulations, want.sized.simulations);
-    EXPECT_EQ(got.sized.best_values, want.sized.best_values);  // exact
-    expect_points_equal(got.sized.best, want.sized.best);
-    ASSERT_EQ(got.sized.history.size(), want.sized.history.size());
-    for (std::size_t s = 0; s < want.sized.history.size(); ++s) {
-      expect_points_equal(got.sized.history[s], want.sized.history[s]);
-    }
-  }
-  // The derived campaign aggregates are therefore identical, too.
-  EXPECT_EQ(restored.fom_curve(), original.fom_curve());
-  EXPECT_EQ(restored.best_feasible(), original.best_feasible());
-  EXPECT_EQ(restored.best_overall(), original.best_overall());
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, RejectsWrongToken) {
-  auto original = fresh_evaluator();
-  original.evaluate(circuit::named_topology("NMC"));
-  const std::string path = temp_checkpoint("intooa_ckpt_token.ckpt");
-  save_evaluator_checkpoint(path, "seed-1", original);
-
-  auto restored = fresh_evaluator();
-  EXPECT_FALSE(load_evaluator_checkpoint(path, "seed-2", restored));
-  EXPECT_EQ(restored.history().size(), 0u);  // untouched on rejection
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, RejectsTruncatedFile) {
-  auto original = fresh_evaluator();
-  original.evaluate(circuit::named_topology("NMC"));
-  original.evaluate(circuit::named_topology("C1"));
-  const std::string path = temp_checkpoint("intooa_ckpt_trunc.ckpt");
-  save_evaluator_checkpoint(path, "t", original);
-
-  std::string contents;
-  {
-    std::ifstream in(path);
-    contents.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  {
-    std::ofstream out(path);
-    out << contents.substr(0, contents.size() / 2);
-  }
-  auto restored = fresh_evaluator();
-  EXPECT_FALSE(load_evaluator_checkpoint(path, "t", restored));
-  EXPECT_EQ(restored.history().size(), 0u);
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, MissingFileReturnsFalse) {
-  auto restored = fresh_evaluator();
-  EXPECT_FALSE(load_evaluator_checkpoint(
-      temp_checkpoint("intooa_ckpt_does_not_exist.ckpt"), "t", restored));
-}
-
-TEST(Checkpoint, RestoreRejectsDuplicateTopology) {
-  auto evaluator = fresh_evaluator();
-  evaluator.evaluate(circuit::named_topology("NMC"));
-  core::EvalRecord duplicate = evaluator.history()[0];
-  EXPECT_THROW(evaluator.restore(std::move(duplicate)),
-               std::invalid_argument);
 }
 
 }  // namespace

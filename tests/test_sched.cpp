@@ -1,5 +1,6 @@
 // Tests for intooa::sched — the job/wire codecs, the persistent journal
-// (replay, torn tails, single-byte corruption fuzzing), the scheduler core
+// (replay, torn tails and headers, single-byte corruption fuzzing, golden
+// file bytes), the scheduler core
 // (completion, QueueFull backpressure, cancellation, strict-priority
 // preemption accounting, weighted fair share, tenant quotas, kill/restart
 // recovery), the JobService protocol end to end over a unix socket, and
@@ -63,6 +64,16 @@ std::string slurp(const std::string& path) {
 void spew(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// FNV-1a 64 of a file's bytes: pins an on-disk format across commits.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 sched::JobSpec tiny_spec(const std::string& tenant = "default",
@@ -336,6 +347,57 @@ TEST(SchedJournal, SingleByteCorruptionRecoversPrefixOrFailsCleanly) {
       EXPECT_GE(job.info.id, 1u);
     }
   }
+  std::filesystem::remove(path);
+}
+
+TEST(SchedJournal, GoldenFileBytes) {
+  // The on-disk format is pinned across commits: these bytes were recorded
+  // with the version-1 writer, and no change may alter them.
+  const std::string path = fresh_file("intooa_sched_golden.bin");
+  {
+    sched::JournalRecovery recovery;
+    auto journal = sched::JobJournal::open(path, recovery);
+    sched::JobInfo info;
+    info.id = 1;
+    info.spec = tiny_spec("acme", 3, 2);
+    info.units_total = 2;
+    journal->submitted(info);
+    journal->unit_done(1, 0, 40);
+    journal->unit_done(1, 1, 40);
+    journal->state_changed(1, sched::JobState::Completed, "done");
+  }
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 240u);
+  EXPECT_EQ(fnv1a64(bytes), 0x493a3f1ce9607236ULL);
+  std::filesystem::remove(path);
+}
+
+TEST(SchedJournal, StrictHeaderPrefixOpensEmpty) {
+  // A crash while the header was being written leaves a strict prefix of
+  // it: the journal opens empty and usable instead of refusing to start.
+  const std::string path = fresh_file("intooa_sched_torn_header.bin");
+  {
+    sched::JournalRecovery recovery;
+    sched::JobJournal::open(path, recovery);
+  }
+  const std::string header = slurp(path);
+  ASSERT_EQ(header.size(), 24u);
+  spew(path, header.substr(0, 10));
+
+  sched::JournalRecovery recovery;
+  auto journal = sched::JobJournal::open(path, recovery);
+  EXPECT_EQ(recovery.events, 0u);
+  EXPECT_TRUE(recovery.jobs.empty());
+  EXPECT_EQ(recovery.recovered_tail_bytes, 10u);
+  EXPECT_EQ(slurp(path), header);
+  sched::JobInfo info;
+  info.id = 1;
+  info.spec = tiny_spec();
+  journal->submitted(info);
+  journal.reset();
+  sched::JournalRecovery again;
+  sched::JobJournal::open(path, again);
+  EXPECT_EQ(again.events, 1u);
   std::filesystem::remove(path);
 }
 

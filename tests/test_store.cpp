@@ -1,22 +1,28 @@
 // Unit tests for intooa::store — the record codec, the append-only log's
 // crash recovery (torn tails, flipped bytes, empty files), the versioned
-// header, cross-handle sharing, and the evaluator's read-through /
+// header and its golden bytes, cross-handle and cross-process sharing
+// (concurrent creators of one fresh file), the evaluator's read-through /
 // write-behind integration (warm runs replay stored results without
-// touching the sizer).
+// touching the sizer), and exact, all-or-nothing evaluator checkpoints.
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "circuit/library.hpp"
 #include "core/evaluator.hpp"
-#include "runtime/checkpoint.hpp"
+#include "store/checkpoint.hpp"
 #include "store/record_io.hpp"
 #include "store/store.hpp"
 #include "util/fs.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -32,6 +38,28 @@ std::string fresh_store(const std::string& name) {
   const std::string path = temp_path(name);
   std::filesystem::remove(path);
   return path;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void spew(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// FNV-1a 64 of a file's bytes: pins an on-disk format across commits.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 core::EvalKey test_key(std::uint64_t i) {
@@ -231,13 +259,7 @@ TEST(EvalStore, SingleByteCorruptionRecoversPrefixOrFailsCleanly) {
       ASSERT_TRUE(store->append(test_key(i), test_record(i)));
     }
   }
-  std::string pristine;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    pristine = buf.str();
-  }
+  const std::string pristine = slurp(path);
   ASSERT_FALSE(pristine.empty());
 
   // Flip one byte anywhere in the file (header included). open() must
@@ -249,10 +271,7 @@ TEST(EvalStore, SingleByteCorruptionRecoversPrefixOrFailsCleanly) {
     const std::size_t offset = rng.next_u64() % bytes.size();
     const char flip = static_cast<char>(1 + rng.next_u64() % 255);
     bytes[offset] = static_cast<char>(bytes[offset] ^ flip);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
+    spew(path, bytes);
     try {
       auto store = store::EvalStore::open(path);
       EXPECT_LE(store->size(), kRecords);
@@ -264,6 +283,22 @@ TEST(EvalStore, SingleByteCorruptionRecoversPrefixOrFailsCleanly) {
       // Header corruption: a clean refusal is a correct outcome.
     }
   }
+  std::filesystem::remove(path);
+}
+
+TEST(EvalStore, GoldenFileBytes) {
+  // The on-disk format is pinned across commits: these bytes were recorded
+  // with the version-1 writer, and no change may alter them.
+  const std::string path = fresh_store("intooa_store_golden.bin");
+  {
+    auto store = store::EvalStore::open(path);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(store->append(test_key(i), test_record(i)));
+    }
+  }
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 1408u);
+  EXPECT_EQ(fnv1a64(bytes), 0xb5c4d3848ca1a01dULL);
   std::filesystem::remove(path);
 }
 
@@ -331,6 +366,52 @@ TEST(EvalStore, TwoHandlesOnOneFileSeeEachOthersAppends) {
   std::filesystem::remove(path);
 }
 
+TEST(EvalStore, ConcurrentCreatorsOfOneFreshFileLoseNoRecords) {
+  // Processes released together on a path that does not exist yet must all
+  // append into the one file that survives: creation never replaces a file
+  // another process already opened. The children only open, append and
+  // _exit.
+  constexpr std::uint64_t kChildren = 4;
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::string path = fresh_store("intooa_store_create_race.bin");
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
+    std::vector<pid_t> children;
+    for (std::uint64_t c = 0; c < kChildren; ++c) {
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        ::close(gate[1]);
+        char byte = 0;
+        // Blocks until the parent closes its end of the pipe.
+        [[maybe_unused]] const ssize_t eof = ::read(gate[0], &byte, 1);
+        bool ok = false;
+        try {
+          ok = store::EvalStore::open(path)->append(test_key(c),
+                                                    test_record(c));
+        } catch (...) {
+        }
+        ::_exit(ok ? 0 : 1);
+      }
+      children.push_back(pid);
+    }
+    ::close(gate[0]);
+    ::close(gate[1]);  // releases every child at once
+    for (const pid_t pid : children) {
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+    auto store = store::EvalStore::open(path);
+    EXPECT_EQ(store->size(), kChildren) << "trial " << trial;
+    for (std::uint64_t c = 0; c < kChildren; ++c) {
+      EXPECT_TRUE(store->lookup(test_key(c)).has_value())
+          << "trial " << trial << " lost child " << c;
+    }
+    std::filesystem::remove(path);
+  }
+}
+
 sizing::SizingConfig fast_sizing() {
   sizing::SizingConfig config;
   config.init_points = 4;
@@ -393,12 +474,12 @@ TEST(StoreTier, RestoredCheckpointPopulatesStore) {
   {
     auto original = s1_evaluator();
     original.evaluate(circuit::named_topology("NMC"));
-    runtime::save_evaluator_checkpoint(ckpt, "t", original);
+    store::save_evaluator_checkpoint(ckpt, "t", original);
   }
   auto store = store::EvalStore::open(path);
   auto restored = s1_evaluator();
   store::attach(restored, store);
-  ASSERT_TRUE(runtime::load_evaluator_checkpoint(ckpt, "t", restored));
+  ASSERT_TRUE(store::load_evaluator_checkpoint(ckpt, "t", restored));
   EXPECT_EQ(store->size(), 1u)
       << "records restored from an old checkpoint must reach the store";
   std::filesystem::remove(path);
@@ -413,8 +494,143 @@ TEST(Checkpoint, RejectsIncompatibleVersionMagic) {
            "end\n";
   }
   auto evaluator = s1_evaluator();
-  EXPECT_FALSE(runtime::load_evaluator_checkpoint(path, "t", evaluator));
+  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", evaluator));
   EXPECT_EQ(evaluator.history().size(), 0u);
+  std::filesystem::remove(path);
+}
+
+/// An evaluator with a two-record history and its checkpoint bytes.
+std::string two_record_checkpoint(const std::string& path,
+                                  core::TopologyEvaluator& evaluator) {
+  evaluator.evaluate(circuit::named_topology("NMC"));
+  evaluator.evaluate(circuit::named_topology("C1"));
+  store::save_evaluator_checkpoint(path, "t", evaluator);
+  return slurp(path);
+}
+
+void expect_evaluators_equal(const core::TopologyEvaluator& a,
+                             const core::TopologyEvaluator& b) {
+  EXPECT_EQ(a.total_simulations(), b.total_simulations());
+  ASSERT_EQ(a.history().size(), b.history().size());
+  for (std::size_t i = 0; i < a.history().size(); ++i) {
+    expect_records_equal(a.history()[i], b.history()[i]);
+    EXPECT_EQ(a.history()[i].sims_before, b.history()[i].sims_before);
+    EXPECT_TRUE(b.visited(a.history()[i].topology));
+  }
+  // The derived campaign aggregates are therefore identical, too.
+  EXPECT_EQ(a.fom_curve(), b.fom_curve());
+  EXPECT_EQ(a.best_feasible(), b.best_feasible());
+  EXPECT_EQ(a.best_overall(), b.best_overall());
+}
+
+TEST(Checkpoint, RejectsIncompatibleBinaryVersion) {
+  const std::string path = temp_path("intooa_store_badbinver.ckpt");
+  auto original = s1_evaluator();
+  std::string bytes = two_record_checkpoint(path, original);
+  const std::uint32_t version = 999;
+  bytes.replace(16, sizeof version, reinterpret_cast<const char*>(&version),
+                sizeof version);
+  spew(path, bytes);
+  auto evaluator = s1_evaluator();
+  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", evaluator));
+  EXPECT_EQ(evaluator.history().size(), 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RoundTripIsExact) {
+  auto original = s1_evaluator();
+  util::Rng rng(2024);
+  original.evaluate(circuit::named_topology("NMC"));
+  original.evaluate(circuit::named_topology("C1"));
+  original.evaluate(circuit::Topology::random(rng));
+
+  const std::string path = temp_path("intooa_ckpt_roundtrip.ckpt");
+  store::save_evaluator_checkpoint(path, "token-a", original);
+  auto restored = s1_evaluator();
+  ASSERT_TRUE(store::load_evaluator_checkpoint(path, "token-a", restored));
+  expect_evaluators_equal(original, restored);
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RejectsWrongToken) {
+  auto original = s1_evaluator();
+  original.evaluate(circuit::named_topology("NMC"));
+  const std::string path = temp_path("intooa_ckpt_token.ckpt");
+  store::save_evaluator_checkpoint(path, "seed-1", original);
+
+  auto restored = s1_evaluator();
+  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "seed-2", restored));
+  EXPECT_EQ(restored.history().size(), 0u);  // untouched on rejection
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RejectsTruncatedFile) {
+  const std::string path = temp_path("intooa_ckpt_trunc.ckpt");
+  auto original = s1_evaluator();
+  const std::string bytes = two_record_checkpoint(path, original);
+  spew(path, bytes.substr(0, bytes.size() / 2));
+  auto restored = s1_evaluator();
+  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", restored));
+  EXPECT_EQ(restored.history().size(), 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RejectsRecordsOfAnotherEvaluationContext) {
+  // The token names the run, the record keys name the evaluation context:
+  // an evaluator with another sizing protocol gets nothing, even under a
+  // matching token.
+  const std::string path = temp_path("intooa_ckpt_context.ckpt");
+  auto original = s1_evaluator();
+  two_record_checkpoint(path, original);
+  sizing::SizingConfig other = fast_sizing();
+  other.iterations += 1;
+  core::TopologyEvaluator restored(
+      sizing::EvalContext(circuit::spec_by_name("S-1")), other);
+  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", restored));
+  EXPECT_EQ(restored.history().size(), 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, MissingFileReturnsFalse) {
+  auto restored = s1_evaluator();
+  EXPECT_FALSE(store::load_evaluator_checkpoint(
+      temp_path("intooa_ckpt_does_not_exist.ckpt"), "t", restored));
+}
+
+TEST(Checkpoint, RestoreRejectsDuplicateTopology) {
+  auto evaluator = s1_evaluator();
+  evaluator.evaluate(circuit::named_topology("NMC"));
+  core::EvalRecord duplicate = evaluator.history()[0];
+  EXPECT_THROW(evaluator.restore(std::move(duplicate)),
+               std::invalid_argument);
+}
+
+TEST(Checkpoint, EveryByteFlipIsRejectedOrRestoresTheOriginal) {
+  // Load is all or nothing: whatever single byte is damaged, the evaluator
+  // is either left untouched or restored exactly — never restored wrong.
+  const std::string path = temp_path("intooa_ckpt_flip.ckpt");
+  auto original = s1_evaluator();
+  const std::string pristine = two_record_checkpoint(path, original);
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::Error);  // one warning per rejection
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < pristine.size() && !HasFailure(); ++i) {
+    SCOPED_TRACE("flipped byte " + std::to_string(i));
+    std::string bytes = pristine;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0x01);
+    spew(path, bytes);
+    auto restored = s1_evaluator();
+    if (store::load_evaluator_checkpoint(path, "t", restored)) {
+      expect_evaluators_equal(original, restored);
+    } else {
+      EXPECT_EQ(restored.history().size(), 0u);
+      EXPECT_EQ(restored.total_simulations(), 0u);
+      ++rejected;
+    }
+  }
+  util::set_log_level(level);
+  // Only the reserved header word is not checked.
+  EXPECT_EQ(rejected, pristine.size() - 4);
   std::filesystem::remove(path);
 }
 
