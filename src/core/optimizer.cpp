@@ -12,8 +12,6 @@
 #include "gp/acquisition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/parallel.hpp"
 #include "util/log.hpp"
 
 namespace intooa::core {
@@ -178,10 +176,10 @@ OptimizationOutcome IntoOaOptimizer::run(TopologyEvaluator& evaluator,
 
     // Line 6: argmax of wEI over the pool. Featurization (memoized per
     // topology) stays serial so the shared WL dictionary grows in candidate
-    // order exactly as in a serial run; the per-candidate GP posteriors and
-    // acquisition are then scored in parallel (read-only on the trained
-    // models and the dictionary), so the scores — and the argmax — are
-    // identical for any thread count.
+    // order exactly as in a serial run; the five posteriors are then scored
+    // for the whole pool in one block call, parallel over candidate chunks
+    // (read-only on the trained models and the dictionary), so the scores
+    // — and the argmax — are identical for any thread count.
     obs::registry().counter("optimizer.iterations").add();
     obs::registry().counter("optimizer.candidates_scored").add(pool.size());
     const std::vector<double> scores = [&] {
@@ -190,26 +188,26 @@ OptimizationOutcome IntoOaOptimizer::run(TopologyEvaluator& evaluator,
       for (std::size_t c = 0; c < pool.size(); ++c) {
         pool_features[c] = &features(pool[c]);
       }
-      return runtime::parallel_map(
-          runtime::global_pool(), pool.size(), [&](std::size_t c) {
-            const graph::SparseVec& full = *pool_features[c];
-            const gp::Prediction obj = models_[0].predict_from_features(full);
-            gp::WeiInputs in;
-            in.objective_mean = obj.mean;
-            in.objective_variance = obj.variance;
-            in.best_feasible = best_objective;
-            in.have_feasible = have_feasible;
-            std::array<double, circuit::Spec::kConstraintCount> cm{}, cv{};
-            for (std::size_t k = 0; k < cm.size(); ++k) {
-              const gp::Prediction p =
-                  models_[k + 1].predict_from_features(full);
-              cm[k] = p.mean;
-              cv[k] = p.variance;
-            }
-            in.constraint_means = cm;
-            in.constraint_variances = cv;
-            return gp::weighted_ei(in);
-          });
+      const std::vector<gp::Prediction> posterior =
+          gp::WlGp::predict_pool(models_, pool_features);
+      std::vector<double> wei(pool.size());
+      for (std::size_t c = 0; c < pool.size(); ++c) {
+        const gp::Prediction* p = &posterior[c * kModelCount];
+        gp::WeiInputs in;
+        in.objective_mean = p[0].mean;
+        in.objective_variance = p[0].variance;
+        in.best_feasible = best_objective;
+        in.have_feasible = have_feasible;
+        std::array<double, circuit::Spec::kConstraintCount> cm{}, cv{};
+        for (std::size_t k = 0; k < cm.size(); ++k) {
+          cm[k] = p[k + 1].mean;
+          cv[k] = p[k + 1].variance;
+        }
+        in.constraint_means = cm;
+        in.constraint_variances = cv;
+        wei[c] = gp::weighted_ei(in);
+      }
+      return wei;
     }();
     const std::size_t best_candidate = select_best_candidate(scores, rng);
 

@@ -8,6 +8,8 @@
 #include "gp/fit_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace intooa::gp {
@@ -271,47 +273,172 @@ Prediction WlGp::predict(const graph::Graph& g) const {
 }
 
 Prediction WlGp::predict_from_features(const graph::SparseVec& full) const {
-  if (!trained()) throw std::logic_error("WlGp::predict: model not trained");
-  const std::size_t labels = featurizer_->label_count();
-  if (full.dim() > labels) {
-    throw std::out_of_range("WlGp::predict_from_features: unknown label id");
-  }
-  // phi_h(G) is scattered into a zeroed dense buffer, and each training
-  // vector (already depth <= h) is gathered through it: the nonzero
-  // products are graph::dot's, met in the same ascending-index order, and
-  // every other term adds an exact +0.0. Everything that can throw happens
-  // before the scatter, so the buffer is always left zeroed.
-  const std::size_t n = features_.size();
-  std::vector<double> kvec(n);
-  thread_local std::vector<double> dense;
-  if (dense.size() < labels) dense.resize(labels, 0.0);
-  double dot_self = 0.0;
-  for (const auto& [idx, val] : full.entries()) {
-    if (featurizer_->depth_of(idx) > hyper_h_) continue;
-    dense[idx] = val;
-    dot_self += val * val;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (const auto& [idx, val] : features_[i].entries()) {
-      acc += dense[idx] * val;
+  const graph::SparseVec* const pool[] = {&full};
+  return predict_pool(std::span<const WlGp>(this, 1), pool).front();
+}
+
+namespace {
+
+/// Candidates per task of the parallel pool scoring: a multiple of the
+/// blocked solve's width, so only a chunk's last block runs narrower.
+constexpr std::size_t kPoolChunk = 32;
+
+/// Per-thread buffers of one pool-scoring task.
+struct PoolScratch {
+  std::vector<double> dense;  // by label id; zero outside a scatter
+  std::vector<double> raw;    // raw kernel blocks, training rows x chunk
+  std::vector<double> self;   // <phi_h, phi_h> per training set x chunk
+  std::vector<double> block;  // one model's scaled block, then solved
+  std::vector<double> mean;
+  std::vector<double> quad;
+};
+
+/// Writes to out[i * stride] the raw WL dot product of training row i with
+/// the candidate scattered into the zero-padded `dense`. Each sum adds the
+/// row's products in ascending label order, which is graph::dot's order
+/// over the depth-filtered candidate plus exact +0.0 terms for the labels
+/// the candidate lacks. Four rows run side by side, so their independent
+/// sums overlap.
+void gather_rows(const std::vector<graph::SparseVec>& rows,
+                 const double* dense, double* out, std::size_t stride) {
+  const auto dot = [dense](const graph::SparseVec& row, std::size_t from,
+                           double acc) {
+    const auto& entries = row.entries();
+    for (std::size_t j = from; j < entries.size(); ++j) {
+      acc += dense[entries[j].first] * entries[j].second;
     }
-    kvec[i] = hyper_signal_ * acc;
+    return acc;
+  };
+  const std::size_t n = rows.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const auto& e0 = rows[i].entries();
+    const auto& e1 = rows[i + 1].entries();
+    const auto& e2 = rows[i + 2].entries();
+    const auto& e3 = rows[i + 3].entries();
+    const std::size_t common =
+        std::min({e0.size(), e1.size(), e2.size(), e3.size()});
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t j = 0; j < common; ++j) {
+      a0 += dense[e0[j].first] * e0[j].second;
+      a1 += dense[e1[j].first] * e1[j].second;
+      a2 += dense[e2[j].first] * e2[j].second;
+      a3 += dense[e3[j].first] * e3[j].second;
+    }
+    out[i * stride] = dot(rows[i], common, a0);
+    out[(i + 1) * stride] = dot(rows[i + 1], common, a1);
+    out[(i + 2) * stride] = dot(rows[i + 2], common, a2);
+    out[(i + 3) * stride] = dot(rows[i + 3], common, a3);
   }
-  for (const auto& [idx, val] : full.entries()) dense[idx] = 0.0;
+  for (; i < n; ++i) out[i * stride] = dot(rows[i], 0, 0.0);
+}
 
-  double mean_std = 0.0;
-  for (std::size_t i = 0; i < n; ++i) mean_std += kvec[i] * alpha_[i];
+}  // namespace
 
-  const auto v = chol_->solve_lower(kvec);
-  double quad = 0.0;
-  for (double vi : v) quad += vi * vi;
-  const double self = hyper_signal_ * dot_self;
-  const double var_std = std::max(0.0, self - quad);
+std::vector<Prediction> WlGp::predict_pool(
+    std::span<const WlGp> models,
+    std::span<const graph::SparseVec* const> pool) {
+  const std::size_t model_count = models.size();
+  std::vector<Prediction> out(pool.size() * model_count);
+  if (out.empty()) return out;
+  const graph::WlFeaturizer& featurizer = *models[0].featurizer_;
+  for (const WlGp& model : models) {
+    if (!model.trained()) {
+      throw std::logic_error("WlGp::predict: model not trained");
+    }
+    if (model.featurizer_ != models[0].featurizer_) {
+      throw std::invalid_argument("WlGp::predict_pool: featurizers differ");
+    }
+  }
+  // Everything that can throw happens before any candidate is scattered,
+  // so the per-thread dense buffer is always left zeroed.
+  const std::size_t labels = featurizer.label_count();
+  for (const graph::SparseVec* full : pool) {
+    if (full->dim() > labels) {
+      throw std::out_of_range("WlGp::predict_pool: unknown label id");
+    }
+  }
 
-  Prediction out;
-  out.mean = mean_std * y_scale_ + y_mean_;
-  out.variance = var_std * y_scale_ * y_scale_;
+  // One raw kernel block per distinct training set: models of one
+  // fit_shared() scan that chose the same depth hold equal training rows.
+  std::vector<const WlGp*> sets;
+  std::vector<std::size_t> set_of(model_count);
+  for (std::size_t m = 0; m < model_count; ++m) {
+    const WlGp& model = models[m];
+    std::size_t g = 0;
+    while (g < sets.size() && !(sets[g]->hyper_h_ == model.hyper_h_ &&
+                                sets[g]->features_ == model.features_)) {
+      ++g;
+    }
+    if (g == sets.size()) sets.push_back(&model);
+    set_of[m] = g;
+  }
+  // Row offsets of each set's raw block in one buffer of all sets' rows.
+  std::vector<std::size_t> set_row(sets.size() + 1, 0);
+  for (std::size_t g = 0; g < sets.size(); ++g) {
+    set_row[g + 1] = set_row[g] + sets[g]->features_.size();
+  }
+
+  const std::size_t chunks = (pool.size() + kPoolChunk - 1) / kPoolChunk;
+  runtime::parallel_for(runtime::global_pool(), chunks, [&](std::size_t k) {
+    const std::size_t c0 = k * kPoolChunk;
+    const std::size_t w = std::min(kPoolChunk, pool.size() - c0);
+    thread_local PoolScratch scratch;
+    if (scratch.dense.size() < labels) scratch.dense.resize(labels, 0.0);
+    double* dense = scratch.dense.data();
+    scratch.raw.resize(set_row.back() * w);
+    scratch.self.assign(sets.size() * w, 0.0);
+
+    // Each candidate is scattered once at full depth: a training row at
+    // depth h reads only labels of depth <= h, exactly phi_h's entries.
+    for (std::size_t c = 0; c < w; ++c) {
+      const graph::SparseVec& full = *pool[c0 + c];
+      for (const auto& [idx, val] : full.entries()) {
+        dense[idx] = val;
+        const int depth = featurizer.depth_of(idx);
+        for (std::size_t g = 0; g < sets.size(); ++g) {
+          if (depth <= sets[g]->hyper_h_) scratch.self[g * w + c] += val * val;
+        }
+      }
+      for (std::size_t g = 0; g < sets.size(); ++g) {
+        gather_rows(sets[g]->features_, dense,
+                    scratch.raw.data() + set_row[g] * w + c, w);
+      }
+      for (const auto& [idx, val] : full.entries()) dense[idx] = 0.0;
+    }
+
+    for (std::size_t m = 0; m < model_count; ++m) {
+      const WlGp& model = models[m];
+      const std::size_t g = set_of[m];
+      const std::size_t n = model.features_.size();
+      const double signal = model.hyper_signal_;
+      const double* raw = scratch.raw.data() + set_row[g] * w;
+      scratch.block.resize(n * w);
+      scratch.mean.assign(w, 0.0);
+      scratch.quad.assign(w, 0.0);
+      double* block = scratch.block.data();
+      for (std::size_t i = 0; i < n * w; ++i) block[i] = signal * raw[i];
+      for (std::size_t i = 0; i < n; ++i) {
+        const double a = model.alpha_[i];
+        for (std::size_t c = 0; c < w; ++c) {
+          scratch.mean[c] += block[i * w + c] * a;
+        }
+      }
+      model.chol_->solve_lower_in_place(scratch.block, w);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < w; ++c) {
+          scratch.quad[c] += block[i * w + c] * block[i * w + c];
+        }
+      }
+      for (std::size_t c = 0; c < w; ++c) {
+        const double self = signal * scratch.self[g * w + c];
+        const double var_std = std::max(0.0, self - scratch.quad[c]);
+        Prediction& p = out[(c0 + c) * model_count + m];
+        p.mean = scratch.mean[c] * model.y_scale_ + model.y_mean_;
+        p.variance = var_std * model.y_scale_ * model.y_scale_;
+      }
+    }
+  });
   return out;
 }
 

@@ -85,11 +85,26 @@ class WlGp {
   Prediction predict(const graph::Graph& g) const;
 
   /// Same as predict(), but from a precomputed full-depth (max_h) feature
-  /// vector of the shared featurizer — lets callers featurize a candidate
-  /// once and query all M per-metric models. Each kernel entry is the same
-  /// products summed in the same ascending-index order as graph::dot of
-  /// the depth-filtered vectors.
+  /// vector of the shared featurizer: the one-candidate, one-model case of
+  /// predict_pool().
   Prediction predict_from_features(const graph::SparseVec& full) const;
+
+  /// Posterior mean/variance of every model of `models` at every candidate
+  /// of `pool` (full-depth feature vectors of the models' shared
+  /// featurizer); element [c * models.size() + m] is model m at candidate
+  /// c. Models that share a training set (one chosen depth of one
+  /// fit_shared() scan) share one raw kernel block of WL dot products; each
+  /// model scales it by its signal variance and solves all candidates'
+  /// variance columns in one blocked forward substitution. Every kernel
+  /// entry is graph::dot's products of the depth-filtered vectors in
+  /// graph::dot's order, and every candidate goes through the operations
+  /// of a single-candidate posterior in the same order, so each prediction
+  /// is bit-identical whatever the pool, its order or the model set.
+  /// Candidate chunks run in parallel on the runtime pool with identical
+  /// results for any thread count.
+  static std::vector<Prediction> predict_pool(
+      std::span<const WlGp> models,
+      std::span<const graph::SparseVec* const> pool);
 
   /// Expected posterior-mean derivative w.r.t. every WL feature count
   /// (Eq. 5), in original target units per unit count. The returned vector

@@ -117,44 +117,66 @@ MatrixD Cholesky::solve(const MatrixD& b) const {
 
 namespace {
 
-// Solves columns j0 .. j0 + K - 1 of the row-major block b (cols wide) in
-// place, each with exactly solve()'s operations in solve()'s order. The K
-// running sums of a row stay in registers, so the K dependency chains
-// overlap instead of running one after another.
-template <std::size_t K>
+// Forward substitution L Y = B and, when kBack, back substitution
+// L^T X = Y, on columns j0 .. j0 + K - 1 of the row-major block b (cols
+// wide), in place. Each column sees exactly the operations, in the order,
+// that solve_lower() and solve() apply to a single vector; the K lanes are
+// independent, so packed arithmetic across them reorders nothing. A row's
+// running sums live in a local array scoped to that row: GCC 12 compiles
+// this form to packed SSE2 code, but scalar code when the updates go
+// straight into the output row.
+template <bool kBack, std::size_t K>
 void solve_block(const MatrixD& l, double* b, std::size_t cols,
                  std::size_t j0) {
   const std::size_t n = l.rows();
-  double acc[K] = {};
-  // Forward substitution L Y = B.
   for (std::size_t r = 0; r < n; ++r) {
     double* row = b + r * cols + j0;
+    double acc[K] = {};
     for (std::size_t k = 0; k < K; ++k) acc[k] = row[k];
     for (std::size_t c = 0; c < r; ++c) {
       const double lrc = l(r, c);
       const double* y = b + c * cols + j0;
       for (std::size_t k = 0; k < K; ++k) acc[k] -= lrc * y[k];
     }
-    for (std::size_t k = 0; k < K; ++k) row[k] = acc[k] / l(r, r);
+    const double lrr = l(r, r);
+    for (std::size_t k = 0; k < K; ++k) row[k] = acc[k] / lrr;
   }
-  // Back substitution L^T X = Y.
-  for (std::size_t ri = n; ri-- > 0;) {
-    double* row = b + ri * cols + j0;
-    for (std::size_t k = 0; k < K; ++k) acc[k] = row[k];
-    for (std::size_t c = ri + 1; c < n; ++c) {
-      const double lci = l(c, ri);
-      const double* x = b + c * cols + j0;
-      for (std::size_t k = 0; k < K; ++k) acc[k] -= lci * x[k];
+  if constexpr (kBack) {
+    for (std::size_t ri = n; ri-- > 0;) {
+      double* row = b + ri * cols + j0;
+      double acc[K] = {};
+      for (std::size_t k = 0; k < K; ++k) acc[k] = row[k];
+      for (std::size_t c = ri + 1; c < n; ++c) {
+        const double lci = l(c, ri);
+        const double* x = b + c * cols + j0;
+        for (std::size_t k = 0; k < K; ++k) acc[k] -= lci * x[k];
+      }
+      const double lii = l(ri, ri);
+      for (std::size_t k = 0; k < K; ++k) row[k] = acc[k] / lii;
     }
-    for (std::size_t k = 0; k < K; ++k) row[k] = acc[k] / l(ri, ri);
   }
 }
 
 constexpr std::size_t kMaxBlock = 8;
 
-template <std::size_t... K>
-constexpr auto solve_block_table(std::index_sequence<K...>) {
-  return std::array{&solve_block<K + 1>...};
+using BlockFn = void (*)(const MatrixD&, double*, std::size_t, std::size_t);
+
+template <bool kBack, std::size_t... K>
+constexpr std::array<BlockFn, kMaxBlock> block_table(
+    std::index_sequence<K...>) {
+  return {&solve_block<kBack, K + 1>...};
+}
+
+// Runs the width-matched kernel over every block of up to kMaxBlock
+// columns.
+template <bool kBack>
+void solve_blocks(const MatrixD& l, double* b, std::size_t cols) {
+  static constexpr auto kTable =
+      block_table<kBack>(std::make_index_sequence<kMaxBlock>{});
+  for (std::size_t j0 = 0; j0 < cols; j0 += kMaxBlock) {
+    const std::size_t width = std::min(kMaxBlock, cols - j0);
+    kTable[width - 1](l, b, cols, j0);
+  }
 }
 
 }  // namespace
@@ -163,12 +185,16 @@ void Cholesky::solve_in_place(std::span<double> b, std::size_t cols) const {
   if (b.size() != order() * cols) {
     throw std::invalid_argument("Cholesky::solve_in_place: size mismatch");
   }
-  static constexpr auto kSolveBlock =
-      solve_block_table(std::make_index_sequence<kMaxBlock>{});
-  for (std::size_t j0 = 0; j0 < cols; j0 += kMaxBlock) {
-    const std::size_t width = std::min(kMaxBlock, cols - j0);
-    kSolveBlock[width - 1](l_, b.data(), cols, j0);
+  solve_blocks<true>(l_, b.data(), cols);
+}
+
+void Cholesky::solve_lower_in_place(std::span<double> b,
+                                    std::size_t cols) const {
+  if (b.size() != order() * cols) {
+    throw std::invalid_argument(
+        "Cholesky::solve_lower_in_place: size mismatch");
   }
+  solve_blocks<false>(l_, b.data(), cols);
 }
 
 std::vector<double> Cholesky::solve_lower(std::span<const double> b) const {

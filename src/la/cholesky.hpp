@@ -63,12 +63,18 @@ class Cholesky {
   /// (column j is b[r * cols + j]). Every column goes through exactly the
   /// operations solve() applies to it, so each result column is
   /// bit-identical to solve() of that column; the columns share one sweep
-  /// over L instead of one sweep each.
+  /// over L per block of up to eight columns instead of one sweep each.
   void solve_in_place(std::span<double> b, std::size_t cols) const;
 
   /// Solves L y = b (forward substitution only); used for GP variance
   /// computations where v = L^{-1} k gives sigma^2 = k** - v^T v.
   std::vector<double> solve_lower(std::span<const double> b) const;
+
+  /// Solves L Y = B in place for the order() x `cols` row-major block `b`,
+  /// the forward half of solve_in_place(): each result column is
+  /// bit-identical to solve_lower() of that column. Scores the variances of
+  /// a whole candidate pool against one GP factor.
+  void solve_lower_in_place(std::span<double> b, std::size_t cols) const;
 
   /// log |A| = 2 sum_i log L_ii — needed by the GP marginal likelihood.
   double log_det() const;

@@ -112,7 +112,8 @@ std::vector<Cx> eigenvalues(const MatrixD& a, int max_iterations_per_eig) {
       break;
     }
     if (++iterations > budget) {
-      throw std::runtime_error("eigenvalues: QR iteration failed to converge");
+      throw EigenConvergenceError(
+          "eigenvalues: QR iteration failed to converge");
     }
 
     // Explicit single-shift QR step on the active block:

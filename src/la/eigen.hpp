@@ -9,16 +9,28 @@
 // run in Hspice would expose them.
 
 #include <complex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "la/matrix.hpp"
 
 namespace intooa::la {
 
+/// Thrown when the QR iteration of eigenvalues() exhausts its budget: a
+/// numerical failure of the input, which the simulator reports as an
+/// invalid design, not a programming error.
+class EigenConvergenceError : public std::runtime_error {
+ public:
+  explicit EigenConvergenceError(const std::string& what)
+      : std::runtime_error(what) {}
+};
+
 /// Eigenvalues of a square real matrix, in no particular order. Uses
 /// complex single-shift (Wilkinson) QR on the Hessenberg form; intended
 /// for the small matrices of this project (order <= ~50). Throws
-/// std::runtime_error if the iteration fails to converge.
+/// EigenConvergenceError when the iteration fails to converge within
+/// `max_iterations_per_eig` times the order steps.
 std::vector<std::complex<double>> eigenvalues(const MatrixD& a,
                                               int max_iterations_per_eig = 80);
 

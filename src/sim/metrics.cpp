@@ -163,9 +163,9 @@ circuit::Performance evaluate_opamp(const circuit::Netlist& netlist,
     perf.power_w = netlist.static_power(vdd);
     perf.failure = e.what();
     return perf;
-  } catch (const std::runtime_error& e) {
-    // Eigen-solver convergence failure and similar numerical pathologies:
-    // treat as an invalid design rather than aborting a campaign.
+  } catch (const la::EigenConvergenceError& e) {
+    // The pole analysis did not converge: an invalid design, not an
+    // aborted campaign.
     circuit::Performance perf;
     perf.power_w = netlist.static_power(vdd);
     perf.failure = std::string("numerical failure: ") + e.what();

@@ -66,7 +66,9 @@ circuit::Performance extract_performance(const AcSweep& sweep,
 
 /// Convenience: sweep + extract + power in one call. Returns an invalid
 /// Performance (with `failure` set) instead of throwing when the netlist is
-/// singular at some frequency.
+/// singular at some frequency, open-loop unstable, or its pole analysis
+/// does not converge (la::EigenConvergenceError); any other exception
+/// propagates.
 circuit::Performance evaluate_opamp(const circuit::Netlist& netlist,
                                     double vdd,
                                     const std::string& out = "vout",

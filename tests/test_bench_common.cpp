@@ -1,15 +1,23 @@
 // Tests for the experiment harness (src/campaign): campaign aggregation
 // math (success rates, mean curves, simulations-to-reference), the
 // reference-FoM rule, CLI plumbing, the disk cache round trip and its
-// torn-file rejection, and the parallel/checkpoint-resume guarantees (byte-identical results for any
-// thread count and across an interrupt).
+// torn-file rejection, the parallel/checkpoint-resume guarantees
+// (byte-identical results for any thread count and across an interrupt),
+// and the cross-commit pin of numeric results.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string_view>
 
 #include "campaign/campaign.hpp"
+#include "circuit/library.hpp"
+#include "core/evaluator.hpp"
 #include "runtime/executor.hpp"
+#include "store/record_io.hpp"
 
 namespace {
 
@@ -225,6 +233,65 @@ TEST(Campaign, DeterministicPerSeed) {
     EXPECT_EQ(a.runs[r].best_topology_index, b.runs[r].best_topology_index);
     EXPECT_DOUBLE_EQ(a.runs[r].final_fom, b.runs[r].final_fom);
   }
+}
+
+// ---- Numeric pin -----------------------------------------------------------
+// Golden digests of numeric results: a campaign's CSV bytes and one sized
+// record's store bytes. Every other golden test pins an identity (EvalKey
+// digests, WL label ids, file framing); these pin what the optimizer, the
+// sizer and the simulator compute from it, so a change to any of their
+// arithmetic fails here. A change that is meant to move numbers updates
+// the constants and says why.
+
+/// FNV-1a 64, the digest the perf ledger prints for campaign CSVs.
+std::uint64_t fnv1a64(std::string_view data) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : data) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(NumericPin, QuickCampaignCsvsAndSizedRecordAreBitStable) {
+  // INTO-OA under the --quick protocol, one run per spec, one thread, no
+  // store.
+  CampaignParams params;
+  params.runs = 1;
+  params.iterations = 20;
+  params.pool = 100;
+  params.sizing_init = 5;
+  params.sizing_iterations = 15;
+  runtime::set_thread_count(1);
+  const std::filesystem::path csv =
+      std::filesystem::temp_directory_path() / "intooa_numeric_pin.csv";
+  const std::pair<const char*, std::uint64_t> campaigns[] = {
+      {"S-1", 0xaa0cc38099ecc82aULL},
+      {"S-2", 0xab8c8dcf9469f58bULL},
+  };
+  for (const auto& [spec, want] : campaigns) {
+    save_campaign_csv(csv.string(),
+                      run_or_load(spec, Method::IntoOa, params, ""));
+    EXPECT_EQ(fnv1a64(read_file(csv)), want) << spec;
+  }
+  std::filesystem::remove(csv);
+
+  // The NMC library design sized under S-1 at the paper protocol, as the
+  // evaluation store encodes it.
+  core::TopologyEvaluator evaluator(
+      sizing::EvalContext(circuit::spec_by_name("S-1")));
+  const circuit::Topology nmc = circuit::named_topology("NMC");
+  evaluator.evaluate(nmc);
+  EXPECT_EQ(fnv1a64(store::encode_record(evaluator.key_context().key_for(nmc),
+                                         evaluator.history().front())),
+            0x84c5547581855b61ULL);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "gp/wlgp.hpp"
 #include "graph/wl.hpp"
 #include "la/cholesky.hpp"
+#include "runtime/executor.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -449,10 +450,13 @@ Prediction dot_product_posterior(const WlGp& model,
 
 TEST(WlGp, PredictionMatchesDotProductPosterior) {
   // Five models fitted in one scan to different targets over circuit
-  // graphs, at several chosen depths. Every prediction over a
-  // 200-candidate pool must equal the dot-product posterior bit for bit:
-  // the dense gather adds graph::dot's products in graph::dot's order,
-  // plus exact +0.0 terms.
+  // graphs, at several chosen depths. Over a 203-candidate pool (not a
+  // multiple of the blocked solve's width or of the scoring chunk), the
+  // block path at runtime thread counts 1 and 4, and the one-candidate
+  // predict_from_features, must both equal the dot-product posterior bit
+  // for bit: the dense gather adds graph::dot's products in graph::dot's
+  // order, plus exact +0.0 terms, and each candidate's column goes
+  // through solve_lower()'s operations in solve_lower()'s order.
   auto feat = std::make_shared<graph::WlFeaturizer>(6);
   WlFitCache cache(feat, 6);
   util::Rng rng(43);
@@ -482,19 +486,106 @@ TEST(WlGp, PredictionMatchesDotProductPosterior) {
   ASSERT_GT(depths.size(), 1u);
 
   std::vector<graph::SparseVec> pool;
-  for (int c = 0; c < 200; ++c) {
+  for (int c = 0; c < 203; ++c) {
     pool.push_back(feat->features(
         circuit::build_circuit_graph(circuit::Topology::random(rng)), 6));
   }
-  for (std::size_t m = 0; m < models.size(); ++m) {
-    const std::vector<graph::SparseVec>& train =
-        cache.features_at(models[m].chosen_h());
-    for (const graph::SparseVec& full : pool) {
-      const Prediction got = models[m].predict_from_features(full);
-      const Prediction want =
-          dot_product_posterior(models[m], train, targets[m], full);
-      EXPECT_EQ(got.mean, want.mean);
-      EXPECT_EQ(got.variance, want.variance);
+  std::vector<const graph::SparseVec*> pool_ptrs;
+  std::vector<Prediction> want;
+  for (const graph::SparseVec& full : pool) {
+    pool_ptrs.push_back(&full);
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      want.push_back(dot_product_posterior(
+          models[m], cache.features_at(models[m].chosen_h()), targets[m],
+          full));
+    }
+  }
+
+  const std::size_t threads = runtime::thread_count();
+  for (const std::size_t count : {1u, 4u}) {
+    runtime::set_thread_count(count);
+    const std::vector<Prediction> got = WlGp::predict_pool(models, pool_ptrs);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].mean, want[i].mean) << count << " threads, " << i;
+      EXPECT_EQ(got[i].variance, want[i].variance) << count << " threads, " << i;
+    }
+  }
+  runtime::set_thread_count(threads);
+  for (std::size_t c = 0; c < pool.size(); ++c) {
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const Prediction got = models[m].predict_from_features(pool[c]);
+      EXPECT_EQ(got.mean, want[c * models.size() + m].mean);
+      EXPECT_EQ(got.variance, want[c * models.size() + m].variance);
+    }
+  }
+}
+
+TEST(WlGp, PredictPoolRejectsBadInputsBeforeScoring) {
+  auto feat = std::make_shared<graph::WlFeaturizer>(2);
+  auto other_feat = std::make_shared<graph::WlFeaturizer>(2);
+  const std::vector<graph::Graph> graphs = {make_chain({"A", "B"}),
+                                            make_chain({"B", "B", "A"})};
+  const std::vector<double> targets = {0.0, 1.0};
+  const graph::SparseVec a = feat->features(graphs[0], 2);
+  const graph::SparseVec b = feat->features(graphs[1], 2);
+  const graph::SparseVec* pool[] = {&a, &b};
+
+  // Every model must be trained, on one featurizer.
+  std::vector<WlGp> models;
+  models.emplace_back(feat, WlGpConfig{.max_h = 2});
+  models.emplace_back(feat, WlGpConfig{.max_h = 2});
+  models[0].fit(graphs, targets);
+  EXPECT_THROW(WlGp::predict_pool(models, pool), std::logic_error);
+  std::vector<WlGp> mixed;
+  mixed.emplace_back(feat, WlGpConfig{.max_h = 2});
+  mixed.emplace_back(other_feat, WlGpConfig{.max_h = 2});
+  for (WlGp& model : mixed) model.fit(graphs, targets);
+  EXPECT_THROW(WlGp::predict_pool(mixed, pool), std::invalid_argument);
+
+  // A label id past the dictionary is rejected before any candidate is
+  // scattered, so later predictions are unaffected.
+  const WlGp& trained = models[0];
+  const Prediction before = trained.predict_from_features(b);
+  graph::SparseVec unknown = a;
+  unknown.add(feat->label_count() + 5, 1.0);
+  const graph::SparseVec* bad_pool[] = {&a, &unknown};
+  EXPECT_THROW(
+      WlGp::predict_pool(std::span<const WlGp>(&trained, 1), bad_pool),
+      std::out_of_range);
+  EXPECT_THROW(trained.predict_from_features(unknown), std::out_of_range);
+  const Prediction after = trained.predict_from_features(b);
+  EXPECT_EQ(after.mean, before.mean);
+  EXPECT_EQ(after.variance, before.variance);
+
+  EXPECT_TRUE(
+      WlGp::predict_pool(std::span<const WlGp>(&trained, 1), {}).empty());
+}
+
+TEST(WlGp, PredictPoolSharesKernelBlocksOnlyBetweenEqualTrainingSets) {
+  // Two models at the same depth but fitted to different graphs must not
+  // share a raw kernel block: each pool prediction equals the model's own
+  // one-candidate prediction.
+  auto feat = std::make_shared<graph::WlFeaturizer>(2);
+  const WlGpConfig depth1{.max_h = 2, .fit_h = false, .fixed_h = 1};
+  std::vector<WlGp> models;
+  models.emplace_back(feat, depth1);
+  models.emplace_back(feat, depth1);
+  models[0].fit({make_chain({"A", "B"}), make_chain({"B", "B", "A"})},
+                std::vector<double>{0.0, 1.0});
+  models[1].fit({make_chain({"A", "A"}), make_chain({"B", "A", "B"}),
+                 make_chain({"A", "B", "B"})},
+                std::vector<double>{2.0, -1.0, 0.5});
+  const graph::SparseVec c0 = feat->features(make_chain({"B", "A"}), 2);
+  const graph::SparseVec c1 = feat->features(make_chain({"A", "A", "B"}), 2);
+  const graph::SparseVec* pool[] = {&c0, &c1};
+  const std::vector<Prediction> got = WlGp::predict_pool(models, pool);
+  ASSERT_EQ(got.size(), 4u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t m = 0; m < 2; ++m) {
+      const Prediction want = models[m].predict_from_features(*pool[c]);
+      EXPECT_EQ(got[c * 2 + m].mean, want.mean);
+      EXPECT_EQ(got[c * 2 + m].variance, want.variance);
     }
   }
 }

@@ -246,8 +246,9 @@ TEST(Cholesky, AppendRowMatchesFreshFactorization) {
 
       // The border update replays the column-Cholesky recurrence in the
       // same operation order, so the factors are identical, not just close.
+      // Equal factors give equal determinants and solves, bit for bit.
       EXPECT_EQ(grown->lower(), fresh->lower());
-      EXPECT_NEAR(grown->log_det(), fresh->log_det(), 1e-10);
+      EXPECT_EQ(grown->log_det(), fresh->log_det());
       std::vector<double> rhs(k + 1);
       for (std::size_t i = 0; i <= k; ++i) {
         rhs[i] = 1.0 + static_cast<double>(i);
@@ -255,18 +256,14 @@ TEST(Cholesky, AppendRowMatchesFreshFactorization) {
       const auto x_grown = grown->solve(rhs);
       const auto x_fresh = fresh->solve(rhs);
       for (std::size_t i = 0; i <= k; ++i) {
-        EXPECT_NEAR(x_grown[i], x_fresh[i], 1e-10);
+        EXPECT_EQ(x_grown[i], x_fresh[i]);
       }
     }
   }
 }
 
-TEST(Cholesky, SolveInPlaceMatchesPerColumnSolve) {
-  // Several right-hand sides solved side by side must give each column
-  // exactly the bits of solve() on that column alone.
-  intooa::util::Rng rng(79);
-  const std::size_t n = 23;
-  const std::size_t cols = 5;
+// A well-conditioned random SPD matrix of order n: B B^T + 1e-3 I.
+MatrixD random_spd(std::size_t n, intooa::util::Rng& rng) {
   MatrixD b(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.normal();
@@ -280,18 +277,43 @@ TEST(Cholesky, SolveInPlaceMatchesPerColumnSolve) {
     }
     a(i, i) += 1e-3;
   }
-  const Cholesky chol(a);
-  std::vector<double> block(n * cols);
-  for (double& v : block) v = rng.normal();
-  std::vector<double> solved = block;
-  chol.solve_in_place(solved, cols);
-  for (std::size_t j = 0; j < cols; ++j) {
-    std::vector<double> column(n);
-    for (std::size_t r = 0; r < n; ++r) column[r] = block[r * cols + j];
-    const std::vector<double> x = chol.solve(column);
-    for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(solved[r * cols + j], x[r]);
+  return a;
+}
+
+TEST(Cholesky, SolveInPlaceMatchesPerColumnSolve) {
+  // Right-hand sides solved side by side, in blocks of up to eight
+  // columns, must give each column exactly the bits of the one-vector
+  // solve: solve() for the full solve, solve_lower() for the forward half.
+  // Every column count from 1 to 17 covers full blocks, one- to
+  // seven-wide tail blocks, and a tail after two full blocks.
+  intooa::util::Rng rng(79);
+  for (const std::size_t n : {1u, 2u, 23u, 64u}) {
+    const Cholesky chol(random_spd(n, rng));
+    for (std::size_t cols = 1; cols <= 17; ++cols) {
+      std::vector<double> block(n * cols);
+      for (double& v : block) v = rng.normal();
+      std::vector<double> solved = block;
+      chol.solve_in_place(solved, cols);
+      std::vector<double> lower = block;
+      chol.solve_lower_in_place(lower, cols);
+      for (std::size_t j = 0; j < cols; ++j) {
+        std::vector<double> column(n);
+        for (std::size_t r = 0; r < n; ++r) column[r] = block[r * cols + j];
+        const std::vector<double> x = chol.solve(column);
+        const std::vector<double> y = chol.solve_lower(column);
+        for (std::size_t r = 0; r < n; ++r) {
+          ASSERT_EQ(solved[r * cols + j], x[r])
+              << "n " << n << " cols " << cols << " col " << j << " row " << r;
+          ASSERT_EQ(lower[r * cols + j], y[r])
+              << "n " << n << " cols " << cols << " col " << j << " row " << r;
+        }
+      }
+      EXPECT_THROW(chol.solve_in_place(solved, cols + 1),
+                   std::invalid_argument);
+      EXPECT_THROW(chol.solve_lower_in_place(lower, cols + 1),
+                   std::invalid_argument);
+    }
   }
-  EXPECT_THROW(chol.solve_in_place(solved, cols + 1), std::invalid_argument);
 }
 
 TEST(Cholesky, AppendRowRejectsNonPositiveDefinite) {
@@ -350,6 +372,17 @@ TEST(Eigen, ComplexPair) {
   EXPECT_NEAR(eigs[0].imag(), -1.0, 1e-9);
   EXPECT_NEAR(eigs[1].imag(), 1.0, 1e-9);
   EXPECT_NEAR(eigs[0].real(), 0.0, 1e-9);
+}
+
+TEST(Eigen, NonConvergenceThrowsTypedError) {
+  // With no QR steps allowed, a matrix that is not already triangular
+  // cannot deflate: the failure is the typed error the simulator reports
+  // as an invalid design, and still a std::runtime_error.
+  const MatrixD a = {{1, 2}, {3, 4}};
+  EXPECT_THROW(eigenvalues(a, 0), EigenConvergenceError);
+  EXPECT_THROW(eigenvalues(a, 0), std::runtime_error);
+  // A triangular matrix deflates without a single step.
+  EXPECT_NO_THROW(eigenvalues(MatrixD{{2, 1}, {0, 3}}, 0));
 }
 
 TEST(Eigen, SimilarityInvariance) {
