@@ -1,11 +1,13 @@
 #include "campaign/campaign.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "baselines/fega.hpp"
 #include "baselines/vgae_bo.hpp"
@@ -15,11 +17,12 @@
 #include "obs/span.hpp"
 #include "runtime/campaign_runner.hpp"
 #include "runtime/executor.hpp"
-#include "store/checkpoint.hpp"
+#include "store/frame_log.hpp"
 #include "svc/remote_backend.hpp"
 #include "util/fs.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
+#include "util/wire.hpp"
 
 namespace intooa::campaign {
 
@@ -51,7 +54,7 @@ std::optional<Method> method_from_name(std::string_view name) {
 std::string CampaignParams::cache_token() const {
   // The leading "v2" stamps the deterministic-sizing protocol (the inner
   // sizing BO is seeded from the evaluation key, not the campaign stream):
-  // campaign CSVs and checkpoints produced before that change are not
+  // campaign CSVs and run checkpoints produced before that change are not
   // comparable and must never be silently reused.
   std::ostringstream out;
   out << "v2_r" << runs << "_i" << init_topologies << "x" << iterations
@@ -141,6 +144,28 @@ void save_campaign_csv(const std::string& path, const CampaignSet& set) {
   }
 }
 
+namespace {
+
+/// std::stod or std::stoull over a whole CSV field: like them it throws
+/// std::invalid_argument on a field without digits, and also on leftover
+/// characters.
+template <typename T>
+T parse_field(const std::string& field) {
+  std::size_t used = 0;
+  T value{};
+  if constexpr (std::is_same_v<T, double>) {
+    value = std::stod(field, &used);
+  } else {
+    value = static_cast<T>(std::stoull(field, &used));
+  }
+  if (used != field.size()) {
+    throw std::invalid_argument("not a number: \"" + field + "\"");
+  }
+  return value;
+}
+
+}  // namespace
+
 std::optional<CampaignSet> load_campaign_csv(const std::string& path,
                                              const std::string& spec,
                                              Method method,
@@ -152,56 +177,57 @@ std::optional<CampaignSet> load_campaign_csv(const std::string& path,
   set.method = method;
   set.params = params;
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("run,", 0) != 0) return std::nullopt;  // corrupt
-    RunResult run;
-    {
+  // Reads the next line, which must start with `label`, and appends its
+  // comma-separated values to `out`.
+  const auto read_values = [&](std::string_view label,
+                               std::vector<double>& out) {
+    if (!std::getline(in, line) || line.rfind(label, 0) != 0) return false;
+    std::istringstream ss(line.substr(label.size()));
+    std::string field;
+    while (std::getline(ss, field, ',')) {
+      if (!field.empty()) out.push_back(parse_field<double>(field));
+    }
+    return true;
+  };
+  // A numeric field that does not parse whole throws from parse_field; the
+  // catch below makes that a corrupt file.
+  try {
+    while (std::getline(in, line)) {
+      if (line.rfind("run,", 0) != 0) return std::nullopt;  // corrupt
+      RunResult run;
       std::istringstream ss(line.substr(4));
       std::string field;
       std::getline(ss, field, ',');
       run.success = field == "1";
       std::getline(ss, field, ',');
-      run.final_fom = std::stod(field);
+      run.final_fom = parse_field<double>(field);
       std::getline(ss, field, ',');
-      run.best_topology_index = static_cast<std::size_t>(std::stoull(field));
+      run.best_topology_index = parse_field<std::size_t>(field);
       std::getline(ss, field, ',');
-      run.gain_db = std::stod(field);
+      run.gain_db = parse_field<double>(field);
       std::getline(ss, field, ',');
-      run.gbw_hz = std::stod(field);
+      run.gbw_hz = parse_field<double>(field);
       std::getline(ss, field, ',');
-      run.pm_deg = std::stod(field);
+      run.pm_deg = parse_field<double>(field);
       std::getline(ss, field, ',');
-      run.power_w = std::stod(field);
+      run.power_w = parse_field<double>(field);
       std::getline(ss, field);
       if (field.size() >= 2 && field.front() == '"' && field.back() == '"') {
         field = field.substr(1, field.size() - 2);
       }
       run.best_topology = field;
-    }
-    if (!std::getline(in, line) || line.rfind("values", 0) != 0) {
-      return std::nullopt;
-    }
-    {
-      std::istringstream ss(line.substr(6));
-      std::string field;
-      while (std::getline(ss, field, ',')) {
-        if (!field.empty()) run.best_values.push_back(std::stod(field));
+      if (!read_values("values", run.best_values) ||
+          !read_values("curve", run.curve)) {
+        return std::nullopt;
       }
+      // Every saved curve holds exactly budget() points and ends its line:
+      // a shorter curve, or a last line without its newline, is a torn
+      // file.
+      if (run.curve.size() != params.budget() || in.eof()) return std::nullopt;
+      set.runs.push_back(std::move(run));
     }
-    if (!std::getline(in, line) || line.rfind("curve", 0) != 0) {
-      return std::nullopt;
-    }
-    {
-      std::istringstream ss(line.substr(5));
-      std::string field;
-      while (std::getline(ss, field, ',')) {
-        if (!field.empty()) run.curve.push_back(std::stod(field));
-      }
-    }
-    // Every saved curve holds exactly budget() points and ends its line: a
-    // shorter curve, or a last line without its newline, is a torn file.
-    if (run.curve.size() != params.budget() || in.eof()) return std::nullopt;
-    set.runs.push_back(std::move(run));
+  } catch (const std::exception&) {
+    return std::nullopt;
   }
   if (set.runs.size() != params.runs) return std::nullopt;
   return set;
@@ -226,6 +252,79 @@ baselines::Vae& shared_vae(const baselines::VaeConfig& config) {
                    std::to_string(vae->reconstruction_accuracy(500, rng)));
   }
   return *vae;
+}
+
+/// One file per finished run; a RunResult is ~19 KB at the paper protocol.
+constexpr store::LogFormat kRunFormat{"intooa-runresult", 1, 1u << 26,
+                                      "run checkpoint"};
+
+void write_doubles(util::WireWriter& writer, const std::vector<double>& v) {
+  writer.u64(v.size());
+  for (const double x : v) writer.f64(x);
+}
+
+/// Reads a u64 count, then that many doubles. The count is checked against
+/// the bytes left before anything is allocated.
+bool read_doubles(util::WireReader& reader, std::vector<double>& v) {
+  std::uint64_t count = 0;
+  if (!reader.u64(count) || count > reader.remaining() / sizeof(double)) {
+    return false;
+  }
+  v.resize(count);
+  for (double& x : v) reader.f64(x);
+  return true;
+}
+
+/// Decodes the one frame of a run checkpoint; nullopt on another token, a
+/// structural defect, leftover bytes or a curve of other than `budget`
+/// points.
+std::optional<RunResult> decode_run(std::string_view payload,
+                                    const std::string& token,
+                                    std::size_t budget) {
+  util::WireReader reader(payload);
+  RunResult run;
+  std::string stamp;
+  std::uint8_t success = 0;
+  std::uint64_t best_index = 0;
+  if (!reader.str(stamp) || stamp != token || !reader.u8(success) ||
+      success > 1 || !reader.f64(run.final_fom) || !reader.u64(best_index) ||
+      !reader.str(run.best_topology) || !reader.f64(run.gain_db) ||
+      !reader.f64(run.gbw_hz) || !reader.f64(run.pm_deg) ||
+      !reader.f64(run.power_w) || !read_doubles(reader, run.best_values) ||
+      !read_doubles(reader, run.curve) || !reader.done() ||
+      run.curve.size() != budget) {
+    return std::nullopt;
+  }
+  run.success = success == 1;
+  run.best_topology_index = static_cast<std::size_t>(best_index);
+  return run;
+}
+
+/// Derives the RunResult of a finished run from its evaluator state.
+RunResult run_result_from_evaluator(const core::TopologyEvaluator& evaluator,
+                                    const CampaignParams& params) {
+  // Mirrors how every method builds its OptimizationOutcome: feasible-first
+  // best selection straight from the evaluator history.
+  const auto best_feasible = evaluator.best_feasible();
+  const auto best_any =
+      best_feasible ? best_feasible : evaluator.best_overall();
+
+  RunResult run;
+  run.success = best_feasible.has_value();
+  run.curve = evaluator.fom_curve();
+  run.curve.resize(params.budget(), run.curve.empty() ? 0.0 : run.curve.back());
+  if (best_any && run.success) {
+    const auto& record = evaluator.history()[*best_any];
+    run.final_fom = record.sized.best.fom;
+    run.best_topology_index = record.topology.index();
+    run.best_topology = record.topology.to_string();
+    run.gain_db = record.sized.best.perf.gain_db;
+    run.gbw_hz = record.sized.best.perf.gbw_hz;
+    run.pm_deg = record.sized.best.perf.pm_deg;
+    run.power_w = record.sized.best.perf.power_w;
+    run.best_values = record.sized.best_values;
+  }
+  return run;
 }
 
 }  // namespace
@@ -255,6 +354,58 @@ std::string run_checkpoint_path(const std::string& cache_dir,
          std::to_string(run_index) + ".ckpt";
 }
 
+void save_run_checkpoint(const std::string& path, const std::string& token,
+                         const RunResult& run) {
+  INTOOA_SPAN("checkpoint.save");
+  std::string payload;
+  util::WireWriter writer(payload);
+  writer.str(token);
+  writer.u8(run.success ? 1 : 0);
+  writer.f64(run.final_fom);
+  writer.u64(run.best_topology_index);
+  writer.str(run.best_topology);
+  writer.f64(run.gain_db);
+  writer.f64(run.gbw_hz);
+  writer.f64(run.pm_deg);
+  writer.f64(run.power_w);
+  write_doubles(writer, run.best_values);
+  write_doubles(writer, run.curve);
+  std::string out = store::header_bytes(kRunFormat);
+  store::encode_frame(out, payload, kRunFormat);
+  // Durable atomic publish: a crash at any point leaves the previous file
+  // or the complete new one, never a torn one.
+  util::atomic_write_file(path, out);
+}
+
+std::optional<RunResult> load_run_checkpoint(const std::string& path,
+                                             const std::string& token,
+                                             const CampaignParams& params) {
+  INTOOA_SPAN("checkpoint.load");
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return std::nullopt;
+  std::optional<RunResult> run;
+  try {
+    store::FrameLog log(path, kRunFormat, /*writable=*/false);
+    log.check_header();
+    // The one frame decodes, or the scan stops in front of it; a second
+    // frame stops it too. Either way bytes are left after the valid prefix.
+    const std::uint64_t tail = log.scan([&](const store::Frame& frame) {
+      if (run) return false;
+      run = decode_run(frame.payload, token, params.budget());
+      return run.has_value();
+    });
+    if (tail != 0) run.reset();
+  } catch (const std::exception& e) {
+    util::log_warn(std::string("ignoring unusable ") + e.what());
+    return std::nullopt;
+  }
+  if (!run) {
+    util::log_warn("ignoring unusable run checkpoint " + path +
+                   ": token, curve length or frames do not match");
+  }
+  return run;
+}
+
 RunResult run_single(const std::string& spec_name, Method method,
                      const CampaignParams& params, std::uint64_t seed,
                      const std::string& checkpoint_path,
@@ -262,27 +413,26 @@ RunResult run_single(const std::string& spec_name, Method method,
                      const std::shared_ptr<store::EvalStore>& store,
                      const std::shared_ptr<svc::ClientPool>& remote) {
   INTOOA_SPAN("campaign.run");
+  if (!checkpoint_path.empty()) {
+    if (auto done =
+            load_run_checkpoint(checkpoint_path, checkpoint_token, params)) {
+      util::log_info("resumed " + checkpoint_token +
+                     " from its run checkpoint");
+      return *done;
+    }
+  }
+
   const circuit::Spec& spec = circuit::spec_by_name(spec_name);
   sizing::SizingConfig sizing_config;
   sizing_config.init_points = params.sizing_init;
   sizing_config.iterations = params.sizing_iterations;
   core::TopologyEvaluator evaluator(sizing::EvalContext(spec), sizing_config);
   // Persistent tier below the in-memory cache: all runs of the sweep (and
-  // any concurrent process on the same file) share one store. Attached
-  // before checkpoint restore so restored records also populate the store.
+  // any concurrent process on the same file) share one store.
   store::attach(evaluator, store);
   // Distributed tier below the store: store misses are sharded across the
   // --remote endpoints, with local sizing as the byte-identical fallback.
   if (remote) svc::attach(evaluator, remote);
-
-  if (!checkpoint_path.empty() &&
-      store::load_evaluator_checkpoint(checkpoint_path, checkpoint_token,
-                                       evaluator)) {
-    util::log_info("resumed " + checkpoint_token + " from checkpoint (" +
-                   std::to_string(evaluator.total_simulations()) +
-                   " simulations saved)");
-    return run_result_from_evaluator(evaluator, params);
-  }
 
   util::Rng rng(seed);
   switch (method) {
@@ -321,35 +471,9 @@ RunResult run_single(const std::string& spec_name, Method method,
     }
   }
 
+  const RunResult run = run_result_from_evaluator(evaluator, params);
   if (!checkpoint_path.empty()) {
-    store::save_evaluator_checkpoint(checkpoint_path, checkpoint_token,
-                                     evaluator);
-  }
-  return run_result_from_evaluator(evaluator, params);
-}
-
-RunResult run_result_from_evaluator(const core::TopologyEvaluator& evaluator,
-                                    const CampaignParams& params) {
-  // Mirrors how every method builds its OptimizationOutcome: feasible-first
-  // best selection straight from the evaluator history.
-  const auto best_feasible = evaluator.best_feasible();
-  const auto best_any =
-      best_feasible ? best_feasible : evaluator.best_overall();
-
-  RunResult run;
-  run.success = best_feasible.has_value();
-  run.curve = evaluator.fom_curve();
-  run.curve.resize(params.budget(), run.curve.empty() ? 0.0 : run.curve.back());
-  if (best_any && run.success) {
-    const auto& record = evaluator.history()[*best_any];
-    run.final_fom = record.sized.best.fom;
-    run.best_topology_index = record.topology.index();
-    run.best_topology = record.topology.to_string();
-    run.gain_db = record.sized.best.perf.gain_db;
-    run.gbw_hz = record.sized.best.perf.gbw_hz;
-    run.pm_deg = record.sized.best.perf.pm_deg;
-    run.power_w = record.sized.best.perf.power_w;
-    run.best_values = record.sized.best_values;
+    save_run_checkpoint(checkpoint_path, checkpoint_token, run);
   }
   return run;
 }
@@ -397,7 +521,7 @@ CampaignSet run_or_load(const std::string& spec_name, Method method,
   set.runs = runner.run<RunResult>(jobs, [&](const runtime::CampaignJob& job) {
     // Drain discipline (see campaign/drain.hpp): runs not yet started when
     // a SIGINT/SIGTERM arrives are skipped; runs already in flight finish
-    // and checkpoint below.
+    // and publish their run checkpoints.
     if (draining()) return RunResult{};
     const std::string ckpt_path =
         cache_dir.empty() ? ""
@@ -409,7 +533,7 @@ CampaignSet run_or_load(const std::string& spec_name, Method method,
                       store, remote);
   });
   // A drained campaign exits 128+signal here — after every in-flight run
-  // has published its checkpoint, but before the campaign CSV is written
+  // has published its run checkpoint, but before the campaign CSV is written
   // (a partial set must not be mistaken for a finished one).
   exit_if_draining();
   if (!path.empty()) save_campaign_csv(path, set);

@@ -8,7 +8,7 @@
 //
 // It lives under src/ (not bench/) so the scheduler daemon (src/sched) can
 // execute the exact same campaign unit the benches do — same seeds, same
-// checkpoints, same CSV bytes.
+// run checkpoints, same CSV bytes.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "circuit/spec.hpp"
-#include "core/evaluator.hpp"
 #include "store/store.hpp"
 #include "svc/client_pool.hpp"
 #include "util/cli.hpp"
@@ -95,14 +94,6 @@ struct CampaignSet {
   std::optional<std::size_t> best_run() const;
 };
 
-/// Derives the RunResult of a finished run from its evaluator state. Both
-/// the live path and the checkpoint-resume path go through this one
-/// function, so a restored run is identical to the original by
-/// construction (every method selects its best design from the evaluator
-/// with the same feasible-first ranking).
-RunResult run_result_from_evaluator(const core::TopologyEvaluator& evaluator,
-                                    const CampaignParams& params);
-
 /// The derived seed of run `run_index`: a pure function of the campaign
 /// seed, the method and the spec name. Shared by run_or_load and the
 /// scheduler so a scheduled job reproduces the standalone seeds exactly.
@@ -128,23 +119,43 @@ std::optional<CampaignSet> load_campaign_csv(const std::string& path,
                                              Method method,
                                              const CampaignParams& params);
 
-/// Identity stamp of one run: a checkpoint is only reusable for the exact
-/// (spec, method, protocol, run, seed) it was written under.
+/// Identity stamp of one run: a run checkpoint is only reusable for the
+/// exact (spec, method, protocol, run, seed) it was written under.
 std::string run_token(const std::string& spec, Method method,
                       const CampaignParams& params, std::size_t run_index,
                       std::uint64_t seed);
 
-/// Checkpoint file of run `run_index` under `cache_dir`.
+/// Run checkpoint file of run `run_index` under `cache_dir`.
 std::string run_checkpoint_path(const std::string& cache_dir,
                                 const std::string& spec, Method method,
                                 const CampaignParams& params,
                                 std::size_t run_index);
 
-/// Executes one campaign run, checkpointing the evaluator afterwards (or
-/// restoring it up front when a matching checkpoint exists, skipping all
-/// simulation work). This is the scheduler's unit of work: pass
-/// run_seed(...) and run_token(...) for run r and the result — and the
-/// published checkpoint — are byte-identical to the standalone bench run.
+/// Publishes one finished run as a run checkpoint with
+/// util::atomic_write_file (creating parent directories): a framed log
+/// (store/frame_log.hpp) with magic "intooa-runresult" holding exactly one
+/// frame, the `token` and then every RunResult field, doubles as raw
+/// IEEE-754 bits, so a loaded RunResult equals the saved one. Throws
+/// std::runtime_error on I/O failure.
+void save_run_checkpoint(const std::string& path, const std::string& token,
+                         const RunResult& run);
+
+/// Loads a run checkpoint written by save_run_checkpoint, all or nothing.
+/// A missing file returns nullopt silently. A wrong magic or version (an
+/// evaluator checkpoint of older builds included), a CRC or length
+/// failure, another `token`, a curve of other than params.budget() points,
+/// bytes left over in the frame or more than one frame return nullopt with
+/// one warning.
+std::optional<RunResult> load_run_checkpoint(const std::string& path,
+                                             const std::string& token,
+                                             const CampaignParams& params);
+
+/// Executes one campaign run and publishes its run checkpoint, or loads
+/// the run checkpoint up front when a matching one exists, constructing no
+/// evaluator and simulating nothing. This is the scheduler's unit of work:
+/// pass run_seed(...) and run_token(...) for run r and the result — and the
+/// published run checkpoint — are byte-identical to the standalone bench
+/// run. An empty `checkpoint_path` neither loads nor publishes.
 RunResult run_single(const std::string& spec_name, Method method,
                      const CampaignParams& params, std::uint64_t seed,
                      const std::string& checkpoint_path,
@@ -159,8 +170,8 @@ RunResult run_single(const std::string& spec_name, Method method,
 /// the method and the run index) and are fanned across the global runtime
 /// thread pool by runtime::CampaignRunner; results are byte-identical for
 /// any thread count. With a non-empty cache_dir every finished run is
-/// additionally checkpointed to `<cache_dir>/checkpoints/` (the full
-/// evaluator history), so an interrupted campaign resumes from the
+/// additionally published as a run checkpoint under
+/// `<cache_dir>/checkpoints/`, so an interrupted campaign resumes from the
 /// completed runs without re-simulating them.
 ///
 /// With a non-null `store`, every run's evaluator additionally reads

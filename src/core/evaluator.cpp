@@ -90,15 +90,6 @@ const sizing::SizedResult& TopologyEvaluator::evaluate(
   return sized;
 }
 
-void TopologyEvaluator::restore(EvalRecord record) {
-  if (cache_.count(record.topology.index()) > 0) {
-    throw std::invalid_argument(
-        "TopologyEvaluator::restore: topology already evaluated");
-  }
-  insert(std::move(record));
-  if (store_) store_->save(history_.back());
-}
-
 bool TopologyEvaluator::visited(const circuit::Topology& topology) const {
   return cache_.count(topology.index()) > 0;
 }

@@ -58,7 +58,7 @@ class ResultStore {
   /// the evaluator re-derives it from its own counter.
   virtual std::optional<EvalRecord> load(const circuit::Topology& topology) = 0;
 
-  /// Persists a freshly computed (or checkpoint-restored) record. Must be
+  /// Persists a freshly computed (or remotely served) record. Must be
   /// idempotent for already-present keys.
   virtual void save(const EvalRecord& record) = 0;
 };
@@ -109,15 +109,6 @@ class TopologyEvaluator {
   /// True when the topology has been evaluated already.
   bool visited(const circuit::Topology& topology) const;
 
-  /// Appends a completed evaluation (from a checkpoint) without running the
-  /// sizer: the record joins the history and cache and its simulation cost
-  /// is added to the counter, exactly as if evaluate() had produced it.
-  /// Records must be restored in their original order into an evaluator
-  /// with no conflicting entries; throws std::invalid_argument when the
-  /// topology is already present. Restored records are offered to the
-  /// attached store (if any), so old checkpoints populate new stores.
-  void restore(EvalRecord record);
-
   /// Total simulator calls consumed so far (store hits included: the
   /// accounting reflects the campaign's logical cost, not this process's
   /// physical work).
@@ -126,7 +117,7 @@ class TopologyEvaluator {
   /// Cache accounting: lookups that returned a previously sized topology
   /// vs. lookups that missed the in-memory tier. Mirrored into the obs
   /// metrics registry ("evaluator.cache_hit" / "evaluator.cache_miss") for
-  /// the campaign telemetry report. restore() counts as neither.
+  /// the campaign telemetry report.
   std::size_t cache_hits() const { return cache_hits_; }
   std::size_t cache_misses() const { return cache_misses_; }
 
@@ -144,7 +135,8 @@ class TopologyEvaluator {
   const std::vector<EvalRecord>& history() const { return history_; }
 
   /// Topology indices of every history record, in evaluation order. Seeds
-  /// an optimizer's visited set when it attaches to a restored evaluator.
+  /// an optimizer's visited set when it attaches to an evaluator that
+  /// already has history.
   std::vector<std::size_t> visited_indices() const;
 
   /// Best feasible record index (by FoM), if any feasible design was seen.

@@ -132,10 +132,10 @@ std::vector<circuit::Topology> IntoOaOptimizer::elite(
 
 OptimizationOutcome IntoOaOptimizer::run(TopologyEvaluator& evaluator,
                                          util::Rng& rng) {
-  // Seed the visited set from the evaluator's existing history: a resumed
-  // campaign must never re-propose an already-evaluated topology, and
-  // restored records count toward the initial dataset (the init loop below
-  // only tops up any shortfall).
+  // Seed the visited set from the evaluator's existing history: an
+  // evaluator that already has records never gets an evaluated topology
+  // proposed again, and its records count toward the initial dataset (the
+  // init loop below only tops up any shortfall).
   std::unordered_set<std::size_t> visited;
   for (const std::size_t idx : evaluator.visited_indices()) {
     visited.insert(idx);

@@ -67,15 +67,20 @@ void CampaignWorkload::finalize(const JobInfo& job) {
     set.params = params;
     set.runs.reserve(params.runs);
     for (std::size_t r = 0; r < params.runs; ++r) {
-      const std::uint64_t seed =
-          campaign::run_seed(params, method, spec_name, r);
-      // Every unit already published its checkpoint; run_single restores
-      // it and re-derives the RunResult without any simulation work.
-      set.runs.push_back(campaign::run_single(
-          spec_name, method, params, seed,
-          campaign::run_checkpoint_path(dir, spec_name, method, params, r),
-          campaign::run_token(spec_name, method, params, r, seed),
-          config_.store, config_.remote));
+      // Every unit published its run checkpoint before its UnitDone was
+      // journaled. A missing or unusable one fails the job: re-running the
+      // unit here would simulate outside the journal.
+      const std::string path =
+          campaign::run_checkpoint_path(dir, spec_name, method, params, r);
+      auto run = campaign::load_run_checkpoint(
+          path,
+          campaign::run_token(spec_name, method, params, r,
+                              campaign::run_seed(params, method, spec_name, r)),
+          params);
+      if (!run) {
+        throw std::runtime_error("missing or unusable run checkpoint " + path);
+      }
+      set.runs.push_back(std::move(*run));
     }
     const std::string csv =
         campaign::campaign_csv_path(dir, spec_name, method, params);

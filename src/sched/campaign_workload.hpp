@@ -3,9 +3,10 @@
 // exact code path the benches use (campaign::run_single with run_seed /
 // run_token / run_checkpoint_path), under a per-job cache directory. The
 // finalize step assembles the per-(spec, method) campaign CSVs from the
-// published checkpoints — every run_single there short-circuits on its
-// checkpoint, so finalize costs no simulations — making a scheduled job's
-// CSVs byte-identical to a standalone `--threads 1` bench run.
+// published run checkpoints alone (campaign::load_run_checkpoint): it
+// constructs no evaluator and simulates nothing, and a missing or unusable
+// run checkpoint fails the job. A scheduled job's CSVs are byte-identical
+// to a standalone `--threads 1` bench run.
 
 #include <memory>
 #include <string>
@@ -17,7 +18,7 @@
 namespace intooa::sched {
 
 struct CampaignWorkloadConfig {
-  /// Per-job state lives in `<jobs_dir>/job-<id>/` (checkpoints + CSVs).
+  /// Per-job state lives in `<jobs_dir>/job-<id>/` (run checkpoints + CSVs).
   std::string jobs_dir = "sched-jobs";
   /// Optional shared persistent evaluation store (may be null).
   std::shared_ptr<store::EvalStore> store;
@@ -33,7 +34,7 @@ class CampaignWorkload : public Workload {
   UnitResult run_unit(const JobInfo& job, const UnitRef& unit) override;
   void finalize(const JobInfo& job) override;
 
-  /// The job's private cache directory (checkpoints and final CSVs).
+  /// The job's private cache directory (run checkpoints and final CSVs).
   std::string job_dir(std::uint64_t job_id) const;
 
  private:

@@ -5,8 +5,8 @@
 // rebuild-on-open and torn-tail truncation. A daemon that
 // dies (even SIGKILL mid-append) reopens the journal, replays the intact
 // prefix, and resumes every non-terminal job from the units the journal
-// proved done — whose evaluator checkpoints exist on disk, because a
-// UnitDone event is only ever appended after the unit's checkpoint was
+// proved done — whose run checkpoints exist on disk, because a UnitDone
+// event is only ever appended after the unit's run checkpoint was
 // published.
 //
 // Three event kinds keep the log small and replay trivial:

@@ -479,9 +479,9 @@ void Scheduler::worker_loop() {
       unit_failed = true;
       error = e.what();
     }
-    // UnitDone is durable only after the unit (and its checkpoint) is:
-    // the journal may claim less than the checkpoints prove (rerun is a
-    // cheap restore) but never more.
+    // UnitDone is durable only after the unit (and its run checkpoint)
+    // is: the journal may claim less than the run checkpoints prove (a
+    // rerun loads the run checkpoint) but never more.
     if (!unit_failed && journal_) {
       journal_->unit_done(job_id, unit_index, result.simulations);
     }

@@ -1,7 +1,8 @@
 #pragma once
 // intooa::store::FrameLog — the append-only, CRC-framed log under every
 // durable file of the repo: the evaluation store, intooa-schedd's job
-// journal and evaluator checkpoints (docs/PERSISTENCE.md, "Framed log").
+// journal and the campaign driver's run checkpoints (docs/PERSISTENCE.md,
+// "Framed log").
 // Little-endian:
 //
 //   header : 16-byte magic | u32 version | u32 reserved (zero)

@@ -1,7 +1,7 @@
 #pragma once
 // Durable filesystem primitives shared by every on-disk persistence layer
-// (the framed log under the evaluation store and the job journal,
-// evaluator checkpoints, campaign CSVs). The core operation is the classic
+// (the framed log under the evaluation store and the job journal, run
+// checkpoints, campaign CSVs). The core operation is the classic
 // crash-safe publish sequence for whole files (checkpoints, CSVs): write a
 // private temp file, fsync it, rename it over the target, then fsync the
 // parent directory so the rename itself survives a power cut. A reader

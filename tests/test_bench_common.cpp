@@ -1,28 +1,48 @@
 // Tests for the experiment harness (src/campaign): campaign aggregation
 // math (success rates, mean curves, simulations-to-reference), the
 // reference-FoM rule, CLI plumbing, the disk cache round trip and its
-// torn-file rejection, the parallel/checkpoint-resume guarantees
-// (byte-identical results for any thread count and across an interrupt),
-// and the cross-commit pin of numeric results.
+// torn- and corrupt-file rejection, the run checkpoint codec (bit-exact
+// round trip, all-or-nothing load under truncation and byte flips), the
+// parallel/checkpoint-resume guarantees (byte-identical results for any
+// thread count and across an interrupt, re-simulating only the missing
+// run), and the cross-commit pin of numeric results.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
 #include "campaign/campaign.hpp"
 #include "circuit/library.hpp"
 #include "core/evaluator.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/executor.hpp"
+#include "store/frame_log.hpp"
 #include "store/record_io.hpp"
+#include "util/log.hpp"
+#include "util/wire.hpp"
 
 namespace {
 
 using namespace intooa;
 using namespace intooa::campaign;
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void write_file(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 CampaignParams tiny_params() {
   CampaignParams params;
@@ -154,6 +174,7 @@ TEST(Campaign, TornCsvIsNotLoaded) {
     RunResult run;
     run.success = true;
     run.final_fom = 400.0 + static_cast<double>(r);
+    run.gain_db = -3.5;
     run.best_values = {1e-4, 2.5e-4};
     for (std::size_t i = 0; i < params.budget(); ++i) {
       run.curve.push_back(100.0 + 0.125 * static_cast<double>(i));
@@ -174,6 +195,170 @@ TEST(Campaign, TornCsvIsNotLoaded) {
         load_campaign_csv(path, "S-1", Method::IntoOa, params).has_value())
         << "loaded a CSV missing its last " << cut << " bytes";
   }
+
+  // A corrupt field makes the file corrupt: the load neither throws nor
+  // keeps the parseable prefix of the field.
+  save_campaign_csv(path, set);
+  const std::string pristine = read_file(path);
+  const auto corrupt = [&](std::string_view from, std::string_view to) {
+    std::string bytes = pristine;
+    const std::size_t at = bytes.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bytes.replace(at, from.size(), to);
+    write_file(path, bytes);
+    EXPECT_FALSE(
+        load_campaign_csv(path, "S-1", Method::IntoOa, params).has_value())
+        << "loaded a CSV with \"" << from << "\" changed to \"" << to
+        << "\"";
+  };
+  corrupt("run,1,400,", "run,1,abc,");  // final_fom
+  corrupt("-3.5", ",3.5");              // '-' xor 0x01
+  corrupt(",100.125,", ",100/125,");    // '.' xor 0x01
+  std::filesystem::remove(path);
+}
+
+// ---- Run checkpoints -------------------------------------------------------
+
+/// A RunResult whose doubles only raw bits reproduce: -0.0, a subnormal
+/// and a FoM with no short decimal form.
+RunResult awkward_run(const CampaignParams& params) {
+  const circuit::Topology nmc = circuit::named_topology("NMC");
+  RunResult run;
+  run.success = true;
+  run.final_fom = 1364.0 / 3.0;
+  run.best_topology_index = nmc.index();
+  run.best_topology = nmc.to_string();
+  run.gain_db = -0.0;
+  run.gbw_hz = std::numeric_limits<double>::denorm_min();
+  run.pm_deg = 61.25;
+  run.power_w = 1.5e-4;
+  run.best_values = {1e-4, -0.0, std::numeric_limits<double>::denorm_min()};
+  for (std::size_t i = 0; i < params.budget(); ++i) {
+    run.curve.push_back(0.1 * static_cast<double>(i));
+  }
+  return run;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Every field equal, doubles bit for bit (so -0.0 differs from 0.0).
+void expect_runs_bit_identical(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.best_topology_index, b.best_topology_index);
+  EXPECT_EQ(a.best_topology, b.best_topology);
+  EXPECT_EQ(bits({a.final_fom, a.gain_db, a.gbw_hz, a.pm_deg, a.power_w}),
+            bits({b.final_fom, b.gain_db, b.gbw_hz, b.pm_deg, b.power_w}));
+  EXPECT_EQ(bits(a.best_values), bits(b.best_values));
+  EXPECT_EQ(bits(a.curve), bits(b.curve));
+}
+
+std::string run_ckpt_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+TEST(RunCheckpoint, RoundTripIsBitExact) {
+  const CampaignParams params = tiny_params();
+  const std::string path = run_ckpt_path("intooa_runckpt_roundtrip.ckpt");
+  const RunResult run = awkward_run(params);
+  save_run_checkpoint(path, "token-a", run);
+  const auto loaded = load_run_checkpoint(path, "token-a", params);
+  ASSERT_TRUE(loaded.has_value());
+  expect_runs_bit_identical(run, *loaded);
+  std::filesystem::remove(path);
+}
+
+TEST(RunCheckpoint, EveryDefectLoadsNothing) {
+  const CampaignParams params = tiny_params();
+  const std::string path = run_ckpt_path("intooa_runckpt_reject.ckpt");
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::Error);  // one warning per rejection
+  const auto rejects = [&](const std::string& what) {
+    EXPECT_FALSE(load_run_checkpoint(path, "t", params).has_value()) << what;
+  };
+
+  RunResult run = awkward_run(params);
+  save_run_checkpoint(path, "t", run);
+  const std::string pristine = read_file(path);
+  EXPECT_FALSE(load_run_checkpoint(path, "another", params).has_value())
+      << "another token";
+  // The token embeds cache_token(), which names the budget, but the curve
+  // length is checked on its own too.
+  run.curve.pop_back();
+  save_run_checkpoint(path, "t", run);
+  rejects("a curve one point short");
+  run.curve.push_back(0.0);
+  run.curve.push_back(0.0);
+  save_run_checkpoint(path, "t", run);
+  rejects("a curve one point long");
+
+  // Files with intact frames, forged in the run checkpoint's format.
+  const store::LogFormat format{"intooa-runresult", 1, 1u << 26, "test"};
+  const std::string header = store::header_bytes(format);
+  ASSERT_EQ(pristine.compare(0, header.size(), header), 0);
+  const std::string payload = pristine.substr(header.size() + 8);
+  std::string forged = header;
+  store::encode_frame(forged, payload + '\0', format);
+  write_file(path, forged);
+  rejects("a byte left over in the frame");
+  forged = pristine;
+  store::encode_frame(forged, payload, format);
+  write_file(path, forged);
+  rejects("a second frame");
+  forged = header;
+  write_file(path, forged);
+  rejects("no frame");
+
+  // The evaluator checkpoint that older builds wrote to the same path.
+  const store::LogFormat old_format{"intooa-evalckpnt", 2, 1u << 26, "old"};
+  forged = store::header_bytes(old_format);
+  std::string head;
+  util::WireWriter writer(head);
+  writer.str("t");
+  writer.u64(0);
+  store::encode_frame(forged, head, old_format);
+  write_file(path, forged);
+  rejects("an evaluator checkpoint");
+
+  for (std::size_t length = 0; length < pristine.size(); ++length) {
+    write_file(path, pristine.substr(0, length));
+    rejects("cut to " + std::to_string(length) + " bytes");
+  }
+  util::set_log_level(level);
+
+  std::filesystem::remove(path);
+  EXPECT_FALSE(load_run_checkpoint(path, "t", params).has_value())
+      << "a missing file";
+}
+
+TEST(RunCheckpoint, EveryByteFlipIsRejectedOrLoadsTheOriginal) {
+  // Load is all or nothing: whatever single byte is damaged, the result is
+  // either nothing or the saved run exactly — never a different run.
+  const CampaignParams params = tiny_params();
+  const std::string token = run_token("S-1", Method::IntoOa, params, 0, 9);
+  const std::string path = run_ckpt_path("intooa_runckpt_flip.ckpt");
+  const RunResult run = awkward_run(params);
+  save_run_checkpoint(path, token, run);
+  const std::string pristine = read_file(path);
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::Error);  // one warning per rejection
+  std::vector<std::size_t> loaded;
+  for (std::size_t i = 0; i < pristine.size() && !HasFailure(); ++i) {
+    SCOPED_TRACE("flipped byte " + std::to_string(i));
+    std::string bytes = pristine;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0x01);
+    write_file(path, bytes);
+    if (const auto got = load_run_checkpoint(path, token, params)) {
+      expect_runs_bit_identical(run, *got);
+      loaded.push_back(i);
+    }
+  }
+  util::set_log_level(level);
+  // Only the reserved header word (bytes 20-23) is not checked.
+  EXPECT_EQ(loaded, (std::vector<std::size_t>{20, 21, 22, 23}));
   std::filesystem::remove(path);
 }
 
@@ -209,8 +394,8 @@ TEST(Campaign, CheckpointInterruptResumeIsExact) {
       run_or_load("S-1", Method::IntoOaR, params, cache_dir.string());
 
   // Simulate an interrupt after run 0: the aggregate CSV was never written
-  // and run 1's checkpoint is lost, so the resumed campaign must restore
-  // run 0 from its checkpoint and re-simulate only run 1.
+  // and run 1's run checkpoint is lost, so the resumed campaign must load
+  // run 0 from its run checkpoint and re-simulate only run 1.
   for (const auto& entry : std::filesystem::directory_iterator(cache_dir)) {
     if (entry.is_regular_file()) std::filesystem::remove(entry.path());
   }
@@ -218,9 +403,14 @@ TEST(Campaign, CheckpointInterruptResumeIsExact) {
                           ("campaign_S-1_INTO-OA-r_" + params.cache_token() +
                            "_run1.ckpt"));
 
+  obs::Counter& simulations =
+      obs::registry().counter("evaluator.simulations");
+  const std::uint64_t before = simulations.value();
   const CampaignSet resumed =
       run_or_load("S-1", Method::IntoOaR, params, cache_dir.string());
   expect_sets_identical(fresh, resumed);
+  EXPECT_EQ(simulations.value() - before, params.budget())
+      << "the resume must simulate run 1 alone";
   std::filesystem::remove_all(cache_dir);
 }
 
@@ -251,13 +441,6 @@ std::uint64_t fnv1a64(std::string_view data) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
 }
 
 TEST(NumericPin, QuickCampaignCsvsAndSizedRecordAreBitStable) {

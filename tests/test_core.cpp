@@ -55,7 +55,7 @@ TEST(Evaluator, CountsAndCaches) {
 TEST(Evaluator, CacheHitLeavesAccountingUntouched) {
   // Re-evaluating a visited topology must be free: no history growth, no
   // simulation charge, no extension of the Fig. 5 curve — the invariant the
-  // checkpoint-resume layer and the paper's cost accounting both rely on.
+  // paper's cost accounting relies on.
   TopologyEvaluator evaluator(s1_context(), fast_sizing());
   const auto nmc = circuit::named_topology("NMC");
   const auto c1 = circuit::named_topology("C1");
@@ -73,22 +73,6 @@ TEST(Evaluator, CacheHitLeavesAccountingUntouched) {
   EXPECT_EQ(evaluator.history().size(), history_size);
   EXPECT_EQ(evaluator.total_simulations(), sims);
   EXPECT_EQ(evaluator.fom_curve(), curve);  // same length AND same tail
-}
-
-TEST(Evaluator, RestoreReplaysAccounting) {
-  TopologyEvaluator original(s1_context(), fast_sizing());
-  original.evaluate(circuit::named_topology("NMC"));
-  original.evaluate(circuit::named_topology("C1"));
-
-  TopologyEvaluator restored(s1_context(), fast_sizing());
-  for (const auto& record : original.history()) restored.restore(record);
-  EXPECT_EQ(restored.total_simulations(), original.total_simulations());
-  EXPECT_EQ(restored.history().size(), original.history().size());
-  EXPECT_EQ(restored.fom_curve(), original.fom_curve());
-  EXPECT_TRUE(restored.visited(circuit::named_topology("NMC")));
-  // Restored entries behave like evaluated ones: cache hits stay free.
-  restored.evaluate(circuit::named_topology("C1"));
-  EXPECT_EQ(restored.total_simulations(), original.total_simulations());
 }
 
 TEST(Evaluator, FomCurveMonotoneAndSized) {
@@ -268,37 +252,39 @@ TEST(Optimizer, ResumeSeedsVisitedFromHistory) {
   util::Rng ref_rng(63);
   const OptimizationOutcome ref_outcome = ref.run(full, ref_rng);
 
-  // Restore the complete history into a fresh evaluator, as the campaign
-  // checkpoint layer does.
-  TopologyEvaluator restored(s1_context(), fast_sizing());
-  for (const auto& record : full.history()) restored.restore(record);
-  const std::size_t base = restored.history().size();
-  const std::size_t base_sims = restored.total_simulations();
+  // Rebuild the same history in a fresh evaluator by evaluating the
+  // reference run's topologies in order: sizing is deterministic per
+  // topology, so the records are the reference run's.
+  TopologyEvaluator prior(s1_context(), fast_sizing());
+  for (const auto& record : full.history()) prior.evaluate(record.topology);
+  ASSERT_EQ(prior.fom_curve(), full.fom_curve());
+  const std::size_t base = prior.history().size();
+  const std::size_t base_sims = prior.total_simulations();
 
-  // A zero-iteration resumed run must reconstruct the reference outcome
-  // from the restored records alone: the restored history counts toward
-  // init_topologies, so the init loop adds nothing.
+  // A zero-iteration run must reconstruct the reference outcome from the
+  // existing records alone: the history counts toward init_topologies, so
+  // the init loop adds nothing.
   OptimizerConfig zero_iters = fast_optimizer();
   zero_iters.iterations = 0;
   IntoOaOptimizer reread(zero_iters);
   util::Rng reread_rng(64);
-  const OptimizationOutcome again = reread.run(restored, reread_rng);
-  EXPECT_EQ(restored.history().size(), base);
-  EXPECT_EQ(restored.total_simulations(), base_sims);
+  const OptimizationOutcome again = reread.run(prior, reread_rng);
+  EXPECT_EQ(prior.history().size(), base);
+  EXPECT_EQ(prior.total_simulations(), base_sims);
   EXPECT_EQ(again.best_index, ref_outcome.best_index);
   EXPECT_EQ(again.best_topology, ref_outcome.best_topology);
 
-  // Continuing with more iterations must never re-propose a restored
+  // Continuing with more iterations must never re-propose an evaluated
   // topology: growth is exactly the iteration count, every history index
   // unique.
   IntoOaOptimizer resumed(fast_optimizer());
   util::Rng resume_rng(65);
-  resumed.run(restored, resume_rng);
-  EXPECT_EQ(restored.history().size(), base + fast_optimizer().iterations);
-  EXPECT_EQ(restored.total_simulations(),
+  resumed.run(prior, resume_rng);
+  EXPECT_EQ(prior.history().size(), base + fast_optimizer().iterations);
+  EXPECT_EQ(prior.total_simulations(),
             base_sims + fast_optimizer().iterations * 8u);
   std::unordered_set<std::size_t> seen;
-  for (const auto& record : restored.history()) {
+  for (const auto& record : prior.history()) {
     EXPECT_TRUE(seen.insert(record.topology.index()).second);
   }
 

@@ -1,6 +1,6 @@
 // Unit tests for intooa::runtime — thread pool and futures, deterministic
 // parallel primitives (identical results for any thread count) and campaign
-// fan-out ordering. Evaluator checkpoints are tested with intooa::store.
+// fan-out ordering. Run checkpoints are tested in test_bench_common.
 
 #include <gtest/gtest.h>
 

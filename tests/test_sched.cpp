@@ -5,7 +5,8 @@
 // preemption accounting, weighted fair share, tenant quotas, kill/restart
 // recovery), the JobService protocol end to end over a unix socket, and
 // the headline contract: a scheduled campaign job's CSV is byte-identical
-// to the standalone campaign driver's.
+// to the standalone campaign driver's, assembled from run checkpoints
+// without recomputing any.
 
 #include <gtest/gtest.h>
 
@@ -979,6 +980,51 @@ TEST(SchedCampaign, ScheduledJobCsvIsByteIdenticalToStandalone) {
   EXPECT_THROW(scheduler.submit(bad), std::invalid_argument);
 
   std::filesystem::remove_all(standalone_dir);
+  std::filesystem::remove_all(jobs_dir);
+}
+
+/// The production workload with units that publish no run checkpoint.
+struct UnitsWithoutCheckpoints : sched::CampaignWorkload {
+  using CampaignWorkload::CampaignWorkload;
+  sched::UnitResult run_unit(const sched::JobInfo& job,
+                             const sched::UnitRef&) override {
+    return sched::UnitResult{job.spec.params.budget()};
+  }
+};
+
+TEST(SchedCampaign, FinalizeNeverRecomputesAMissingRunCheckpoint) {
+  const std::string jobs_dir = fresh_file("intooa_sched_finalize_dir");
+  std::filesystem::remove_all(jobs_dir);
+  sched::CampaignWorkloadConfig workload_config;
+  workload_config.jobs_dir = jobs_dir;
+  obs::Counter& simulations =
+      obs::registry().counter("evaluator.simulations");
+  const std::uint64_t before = simulations.value();
+
+  // Called directly on a job without run checkpoints, finalize throws and
+  // writes no CSV.
+  sched::CampaignWorkload workload(workload_config);
+  sched::JobInfo job;
+  job.id = 1;
+  job.spec = tiny_spec();
+  EXPECT_THROW(workload.finalize(job), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(campaign::campaign_csv_path(
+      workload.job_dir(job.id), "S-1", campaign::Method::IntoOa,
+      job.spec.params)));
+
+  // Through the scheduler, the job fails with the finalize message.
+  sched::SchedulerConfig config;
+  config.workers = 1;
+  sched::Scheduler scheduler(
+      config, std::make_shared<UnitsWithoutCheckpoints>(workload_config));
+  const auto submit = scheduler.submit(tiny_spec());
+  ASSERT_TRUE(submit.accepted);
+  ASSERT_TRUE(scheduler.wait_idle(60'000));
+  const auto info = scheduler.status(submit.job_id);
+  EXPECT_EQ(info->state, sched::JobState::Failed);
+  EXPECT_EQ(info->message.rfind("finalize: ", 0), 0u) << info->message;
+
+  EXPECT_EQ(simulations.value(), before) << "finalize simulated";
   std::filesystem::remove_all(jobs_dir);
 }
 

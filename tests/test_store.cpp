@@ -3,7 +3,7 @@
 // header and its golden bytes, cross-handle and cross-process sharing
 // (concurrent creators of one fresh file), the evaluator's read-through /
 // write-behind integration (warm runs replay stored results without
-// touching the sizer), and exact, all-or-nothing evaluator checkpoints.
+// touching the sizer), and the atomic whole-file publish.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +18,9 @@
 
 #include "circuit/library.hpp"
 #include "core/evaluator.hpp"
-#include "store/checkpoint.hpp"
 #include "store/record_io.hpp"
 #include "store/store.hpp"
 #include "util/fs.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -466,172 +464,6 @@ TEST(StoreTier, DeterministicSizingMakesStoreUnnecessaryForEquality) {
   const auto& rb = b.evaluate(circuit::named_topology("NMC"));
   EXPECT_EQ(ra.best_values, rb.best_values);
   expect_points_equal(ra.best, rb.best);
-}
-
-TEST(StoreTier, RestoredCheckpointPopulatesStore) {
-  const std::string path = fresh_store("intooa_store_ckpt.bin");
-  const std::string ckpt = temp_path("intooa_store_ckpt.ckpt");
-  {
-    auto original = s1_evaluator();
-    original.evaluate(circuit::named_topology("NMC"));
-    store::save_evaluator_checkpoint(ckpt, "t", original);
-  }
-  auto store = store::EvalStore::open(path);
-  auto restored = s1_evaluator();
-  store::attach(restored, store);
-  ASSERT_TRUE(store::load_evaluator_checkpoint(ckpt, "t", restored));
-  EXPECT_EQ(store->size(), 1u)
-      << "records restored from an old checkpoint must reach the store";
-  std::filesystem::remove(path);
-  std::filesystem::remove(ckpt);
-}
-
-TEST(Checkpoint, RejectsIncompatibleVersionMagic) {
-  const std::string path = temp_path("intooa_store_badver.ckpt");
-  {
-    std::ofstream out(path);
-    out << "intooa-evaluator-checkpoint v999\ntoken t\nrecords 0\nsims 0\n"
-           "end\n";
-  }
-  auto evaluator = s1_evaluator();
-  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", evaluator));
-  EXPECT_EQ(evaluator.history().size(), 0u);
-  std::filesystem::remove(path);
-}
-
-/// An evaluator with a two-record history and its checkpoint bytes.
-std::string two_record_checkpoint(const std::string& path,
-                                  core::TopologyEvaluator& evaluator) {
-  evaluator.evaluate(circuit::named_topology("NMC"));
-  evaluator.evaluate(circuit::named_topology("C1"));
-  store::save_evaluator_checkpoint(path, "t", evaluator);
-  return slurp(path);
-}
-
-void expect_evaluators_equal(const core::TopologyEvaluator& a,
-                             const core::TopologyEvaluator& b) {
-  EXPECT_EQ(a.total_simulations(), b.total_simulations());
-  ASSERT_EQ(a.history().size(), b.history().size());
-  for (std::size_t i = 0; i < a.history().size(); ++i) {
-    expect_records_equal(a.history()[i], b.history()[i]);
-    EXPECT_EQ(a.history()[i].sims_before, b.history()[i].sims_before);
-    EXPECT_TRUE(b.visited(a.history()[i].topology));
-  }
-  // The derived campaign aggregates are therefore identical, too.
-  EXPECT_EQ(a.fom_curve(), b.fom_curve());
-  EXPECT_EQ(a.best_feasible(), b.best_feasible());
-  EXPECT_EQ(a.best_overall(), b.best_overall());
-}
-
-TEST(Checkpoint, RejectsIncompatibleBinaryVersion) {
-  const std::string path = temp_path("intooa_store_badbinver.ckpt");
-  auto original = s1_evaluator();
-  std::string bytes = two_record_checkpoint(path, original);
-  const std::uint32_t version = 999;
-  bytes.replace(16, sizeof version, reinterpret_cast<const char*>(&version),
-                sizeof version);
-  spew(path, bytes);
-  auto evaluator = s1_evaluator();
-  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", evaluator));
-  EXPECT_EQ(evaluator.history().size(), 0u);
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, RoundTripIsExact) {
-  auto original = s1_evaluator();
-  util::Rng rng(2024);
-  original.evaluate(circuit::named_topology("NMC"));
-  original.evaluate(circuit::named_topology("C1"));
-  original.evaluate(circuit::Topology::random(rng));
-
-  const std::string path = temp_path("intooa_ckpt_roundtrip.ckpt");
-  store::save_evaluator_checkpoint(path, "token-a", original);
-  auto restored = s1_evaluator();
-  ASSERT_TRUE(store::load_evaluator_checkpoint(path, "token-a", restored));
-  expect_evaluators_equal(original, restored);
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, RejectsWrongToken) {
-  auto original = s1_evaluator();
-  original.evaluate(circuit::named_topology("NMC"));
-  const std::string path = temp_path("intooa_ckpt_token.ckpt");
-  store::save_evaluator_checkpoint(path, "seed-1", original);
-
-  auto restored = s1_evaluator();
-  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "seed-2", restored));
-  EXPECT_EQ(restored.history().size(), 0u);  // untouched on rejection
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, RejectsTruncatedFile) {
-  const std::string path = temp_path("intooa_ckpt_trunc.ckpt");
-  auto original = s1_evaluator();
-  const std::string bytes = two_record_checkpoint(path, original);
-  spew(path, bytes.substr(0, bytes.size() / 2));
-  auto restored = s1_evaluator();
-  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", restored));
-  EXPECT_EQ(restored.history().size(), 0u);
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, RejectsRecordsOfAnotherEvaluationContext) {
-  // The token names the run, the record keys name the evaluation context:
-  // an evaluator with another sizing protocol gets nothing, even under a
-  // matching token.
-  const std::string path = temp_path("intooa_ckpt_context.ckpt");
-  auto original = s1_evaluator();
-  two_record_checkpoint(path, original);
-  sizing::SizingConfig other = fast_sizing();
-  other.iterations += 1;
-  core::TopologyEvaluator restored(
-      sizing::EvalContext(circuit::spec_by_name("S-1")), other);
-  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", restored));
-  EXPECT_EQ(restored.history().size(), 0u);
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, MissingFileReturnsFalse) {
-  auto restored = s1_evaluator();
-  EXPECT_FALSE(store::load_evaluator_checkpoint(
-      temp_path("intooa_ckpt_does_not_exist.ckpt"), "t", restored));
-}
-
-TEST(Checkpoint, RestoreRejectsDuplicateTopology) {
-  auto evaluator = s1_evaluator();
-  evaluator.evaluate(circuit::named_topology("NMC"));
-  core::EvalRecord duplicate = evaluator.history()[0];
-  EXPECT_THROW(evaluator.restore(std::move(duplicate)),
-               std::invalid_argument);
-}
-
-TEST(Checkpoint, EveryByteFlipIsRejectedOrRestoresTheOriginal) {
-  // Load is all or nothing: whatever single byte is damaged, the evaluator
-  // is either left untouched or restored exactly — never restored wrong.
-  const std::string path = temp_path("intooa_ckpt_flip.ckpt");
-  auto original = s1_evaluator();
-  const std::string pristine = two_record_checkpoint(path, original);
-  const util::LogLevel level = util::log_level();
-  util::set_log_level(util::LogLevel::Error);  // one warning per rejection
-  std::size_t rejected = 0;
-  for (std::size_t i = 0; i < pristine.size() && !HasFailure(); ++i) {
-    SCOPED_TRACE("flipped byte " + std::to_string(i));
-    std::string bytes = pristine;
-    bytes[i] = static_cast<char>(bytes[i] ^ 0x01);
-    spew(path, bytes);
-    auto restored = s1_evaluator();
-    if (store::load_evaluator_checkpoint(path, "t", restored)) {
-      expect_evaluators_equal(original, restored);
-    } else {
-      EXPECT_EQ(restored.history().size(), 0u);
-      EXPECT_EQ(restored.total_simulations(), 0u);
-      ++rejected;
-    }
-  }
-  util::set_log_level(level);
-  // Only the reserved header word is not checked.
-  EXPECT_EQ(rejected, pristine.size() - 4);
-  std::filesystem::remove(path);
 }
 
 TEST(AtomicWriteFile, WritesContentsAndCreatesParents) {
