@@ -87,6 +87,18 @@ void Client::connect(const Address& address) {
                   {"build", util::version_string()}});
 }
 
+std::optional<TracedRequest> new_trace(const EvalRequest& request,
+                                       std::uint32_t server_minor) {
+  if (!obs::trace_enabled() || server_minor < 1 || request.trace) {
+    return std::nullopt;
+  }
+  TracedRequest traced;
+  traced.sent_ns = obs::detail::monotonic_ns();
+  traced.trace_id = next_trace_id();
+  traced.span_id = next_trace_id();
+  return traced;
+}
+
 void Client::send_request(const EvalRequest& request) {
   if (!connected()) {
     throw TransportError(TransportError::Kind::ConnectionLost,
@@ -94,14 +106,10 @@ void Client::send_request(const EvalRequest& request) {
   }
   const EvalRequest* to_send = &request;
   EvalRequest traced_request;
-  if (obs::trace_enabled() && server_minor_ >= 1 && !request.trace) {
+  if (const auto traced = new_trace(request, server_minor_)) {
     traced_request = request;
-    TracedRequest traced;
-    traced.sent_ns = obs::detail::monotonic_ns();
-    traced.trace_id = next_trace_id();
-    traced.span_id = next_trace_id();
-    traced_request.trace = TraceContext{traced.trace_id, traced.span_id};
-    traced_[request.request_id] = traced;
+    traced_request.trace = TraceContext{traced->trace_id, traced->span_id};
+    traced_[request.request_id] = *traced;
     to_send = &traced_request;
   }
   if (!write_all(fd_.get(),
@@ -217,9 +225,9 @@ bool Client::ping(std::uint64_t nonce, int timeout_ms) {
   return decode_ping(frame.payload) == nonce;
 }
 
-void Client::record_merged_spans(const TracedRequest& traced,
-                                 const ServerTimings& timings,
-                                 std::uint64_t received_ns) {
+void record_merged_spans(const TracedRequest& traced,
+                         const ServerTimings& timings,
+                         std::uint64_t received_ns) {
   if (!obs::trace_enabled()) return;
   // The client request span, on the local process row. Its flow arrow
   // (id = trace id) lands on the server's evaluate span.

@@ -38,6 +38,30 @@ namespace intooa::svc {
 std::uint32_t retry_backoff_ms(std::uint32_t hint_ms,
                                std::uint64_t request_id, int attempt = 0);
 
+/// Client-side bookkeeping of one traced request: when it went on the wire
+/// and the ids it carried. Shared by svc::Client and svc::ClientPool.
+struct TracedRequest {
+  std::uint64_t sent_ns = 0;
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;  ///< the client request span's id
+};
+
+/// A fresh trace for `request`, stamped with the current time, when span
+/// collection is on (obs::trace_enabled()), the server announced minor >= 1
+/// and the request carries no trace context yet; nullopt otherwise. The
+/// caller attaches TraceContext{trace_id, span_id} before sending. Ids come
+/// from an atomic counter, never util::Rng.
+std::optional<TracedRequest> new_trace(const EvalRequest& request,
+                                       std::uint32_t server_minor);
+
+/// Records the merged client+server spans of one traced reply: the client
+/// request span on this thread's row, and the server's stage spans,
+/// rebuilt from the reply trailer, on the remote-process row, linked by a
+/// flow event.
+void record_merged_spans(const TracedRequest& traced,
+                         const ServerTimings& timings,
+                         std::uint64_t received_ns);
+
 /// One reply to an EvalRequest, whichever of the three shapes it took.
 struct Reply {
   enum class Kind { Ok, Busy, Error } kind = Kind::Error;
@@ -94,19 +118,6 @@ class Client {
   std::string stats_json(bool include_flight = false, int timeout_ms = -1);
 
  private:
-  /// Client-side bookkeeping for one traced in-flight request.
-  struct TracedRequest {
-    std::uint64_t sent_ns = 0;
-    std::uint64_t trace_id = 0;
-    std::uint64_t span_id = 0;  ///< the client request span's id
-  };
-
-  /// Records the merged client+server spans for one Ok reply carrying
-  /// server timings.
-  void record_merged_spans(const TracedRequest& traced,
-                           const ServerTimings& timings,
-                           std::uint64_t received_ns);
-
   Fd fd_;
   std::uint32_t server_minor_ = 0;
   std::uint64_t next_stats_id_ = 1;

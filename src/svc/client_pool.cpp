@@ -1,24 +1,46 @@
 #include "svc/client_pool.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <chrono>
+#include <cerrno>
 #include <stdexcept>
+#include <system_error>
 
 #include "obs/metrics.hpp"
-#include "svc/client.hpp"
 #include "util/log.hpp"
 
 namespace intooa::svc {
 
 namespace {
 
-/// Poll slice while replies are outstanding: short enough that stop
-/// requests and newly enqueued work are noticed promptly, long enough
-/// that an idle-but-inflight connection does not spin.
-constexpr int kPoolPollSliceMs = 20;
+/// Signals an endpoint worker's wake eventfd.
+void signal_wake(const Fd& wake) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t put = ::write(wake.get(), &one, sizeof one);
+}
 
-/// Idle wait cap when nothing is in flight and nothing is sendable.
-constexpr int kIdleWaitMs = 100;
+/// Blocks until `wake` is signalled, `fd` (ignored when < 0) is readable
+/// or hung up, or `timeout_ms` passes (< 0: no limit), and consumes the
+/// wake signal. Returns true when `fd` is ready to read. A signal (EINTR)
+/// returns false like a timeout; every caller re-checks its state.
+bool wait_wake_or_readable(const Fd& wake, int fd, int timeout_ms) {
+  pollfd fds[2] = {{wake.get(), POLLIN, 0}, {fd, POLLIN, 0}};
+  if (::poll(fds, 2, timeout_ms) <= 0) return false;
+  if (fds[0].revents != 0) {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t got =
+        ::read(wake.get(), &count, sizeof count);
+  }
+  return fds[1].revents != 0;
+}
+
+/// Milliseconds from `now_ns` until `deadline_ns`, rounded up.
+int ms_until(std::uint64_t deadline_ns, std::uint64_t now_ns) {
+  return static_cast<int>((deadline_ns - now_ns + 999'999) / 1'000'000);
+}
 
 std::uint64_t splitmix(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -70,6 +92,11 @@ ClientPool::ClientPool(std::vector<Address> endpoints, ClientPoolConfig config)
     ep->index = i;
     ep->requests_metric =
         &obs::registry().counter("svc.pool.requests." + std::to_string(i));
+    ep->wake = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+    if (!ep->wake.valid()) {
+      throw std::system_error(errno, std::generic_category(),
+                              "svc: ClientPool wake eventfd");
+    }
     endpoints_.push_back(std::move(ep));
   }
   for (auto& ep : endpoints_) {
@@ -82,9 +109,12 @@ ClientPool::~ClientPool() { close(); }
 void ClientPool::close() {
   if (closed_.exchange(true)) return;
   for (auto& ep : endpoints_) {
-    std::lock_guard<std::mutex> lock(ep->mutex);
-    ep->stop = true;
-    ep->cv.notify_all();
+    {
+      std::lock_guard<std::mutex> lock(ep->mutex);
+      ep->stop = true;
+      for (auto& [id, p] : ep->pending) p->resolved.notify_one();
+    }
+    signal_wake(ep->wake);
   }
   for (auto& ep : endpoints_) {
     if (ep->thread.joinable()) ep->thread.join();
@@ -98,18 +128,25 @@ std::optional<EvalResponse> ClientPool::evaluate(const EvalRequest& request,
   pending->request = request;
   pending->request.request_id =
       next_id_.fetch_add(1, std::memory_order_relaxed);
-  pending->request.trace.reset();  // the pool does not propagate traces
   {
-    std::unique_lock<std::mutex> lock(ep.mutex);
+    std::lock_guard<std::mutex> lock(ep.mutex);
     if (ep.stop || ep.down) return std::nullopt;
     ep.pending.emplace(pending->request.request_id, pending);
-    ep.cv.notify_all();
-    ep.cv.wait(lock, [&] {
+  }
+  signal_wake(ep.wake);
+  {
+    std::unique_lock<std::mutex> lock(ep.mutex);
+    pending->resolved.wait(lock, [&] {
       return pending->done || pending->failed || ep.stop;
     });
   }
-  if (pending->done) return std::move(pending->response);
-  return std::nullopt;
+  // Resolved entries are off the worker's map: read without the lock.
+  if (!pending->done) return std::nullopt;
+  if (pending->traced && pending->response.timings) {
+    record_merged_spans(*pending->traced, *pending->response.timings,
+                        pending->received_ns);
+  }
+  return std::move(pending->response);
 }
 
 ClientPoolStats ClientPool::stats() const {
@@ -129,7 +166,7 @@ ClientPoolStats ClientPool::stats() const {
   return out;
 }
 
-Fd ClientPool::dial(const Address& address) {
+Fd ClientPool::dial(const Address& address, std::uint32_t& server_minor) {
   Fd fd;
   try {
     fd = connect_to(address);
@@ -146,7 +183,23 @@ Fd ClientPool::dial(const Address& address) {
   }
   const auto hello = decode_hello_ok(frame.payload);
   if (!hello || hello->version != kProtocolVersion) return Fd();
+  server_minor = hello->minor;
   return fd;
+}
+
+bool ClientPool::sleep_unless_stopped(Endpoint& ep, std::uint32_t ms) {
+  const std::uint64_t deadline =
+      obs::detail::monotonic_ns() + std::uint64_t{ms} * 1'000'000;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(ep.mutex);
+      if (ep.stop) return true;
+    }
+    const std::uint64_t now = obs::detail::monotonic_ns();
+    if (now >= deadline) return false;
+    // Enqueues wake this too; the loop keeps the backoff whole.
+    wait_wake_or_readable(ep.wake, -1, ms_until(deadline, now));
+  }
 }
 
 void ClientPool::mark_for_replay(Endpoint& ep) {
@@ -169,9 +222,11 @@ void ClientPool::mark_for_replay(Endpoint& ep) {
 void ClientPool::fail_all(Endpoint& ep) {
   // Caller holds ep.mutex. Waiters keep their shared_ptr; clearing the map
   // only drops the worker's reference.
-  for (auto& [id, p] : ep.pending) p->failed = true;
+  for (auto& [id, p] : ep.pending) {
+    p->failed = true;
+    p->resolved.notify_one();
+  }
   ep.pending.clear();
-  ep.cv.notify_all();
 }
 
 void ClientPool::run_endpoint(Endpoint& ep) {
@@ -184,7 +239,8 @@ void ClientPool::run_endpoint(Endpoint& ep) {
       std::lock_guard<std::mutex> lock(ep.mutex);
       if (ep.stop) break;
     }
-    Fd fd = dial(ep.address);
+    std::uint32_t server_minor = 0;
+    Fd fd = dial(ep.address, server_minor);
     if (!fd.valid()) {
       ++consecutive_failures;
       bool newly_down = false;
@@ -214,10 +270,7 @@ void ClientPool::run_endpoint(Endpoint& ep) {
       const std::uint32_t sleep_ms = jittered_ms(
           backoff, (ep.index + 1) * 0x9E3779B97F4A7C15ull +
                        static_cast<std::uint64_t>(consecutive_failures));
-      std::unique_lock<std::mutex> lock(ep.mutex);
-      ep.cv.wait_for(lock, std::chrono::milliseconds(sleep_ms),
-                     [&] { return ep.stop; });
-      if (ep.stop) break;
+      if (sleep_unless_stopped(ep, sleep_ms)) break;
       continue;
     }
     {
@@ -232,7 +285,7 @@ void ClientPool::run_endpoint(Endpoint& ep) {
     }
     connected_before = true;
     consecutive_failures = 0;
-    const ServeEnd end = serve(ep, fd.get());
+    const ServeEnd end = serve(ep, fd.get(), server_minor);
     fd.reset();
     if (end == ServeEnd::Stop) break;
     mark_for_replay(ep);
@@ -241,7 +294,8 @@ void ClientPool::run_endpoint(Endpoint& ep) {
   fail_all(ep);
 }
 
-ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
+ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd,
+                                       std::uint32_t server_minor) {
   static obs::Gauge& inflight_gauge =
       obs::registry().gauge("svc.pool.inflight");
   static obs::Counter& busy_counter = obs::registry().counter("svc.pool.busy");
@@ -278,6 +332,13 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
         }
         p->sent = true;
         ++ep.requests;
+        if (server_minor < 1) {
+          p->request.trace.reset();  // a 1.0 server rejects the tail
+        } else if (const auto traced = new_trace(p->request, server_minor)) {
+          p->request.trace = TraceContext{traced->trace_id, traced->span_id};
+          p->traced = traced;
+        }
+        if (p->traced) p->traced->sent_ns = now;  // a replay restarts it
         frames.push_back(encode_frame(MsgType::EvalRequest,
                                       encode_eval_request(p->request)));
       }
@@ -293,29 +354,17 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
       }
     }
 
-    if (inflight == 0) {
-      // Nothing on the wire: sleep until new work, a backoff gate opens,
-      // or stop — predicate-checked, so no enqueue is ever missed.
-      std::unique_lock<std::mutex> lock(ep.mutex);
-      if (ep.stop) return settle(ServeEnd::Stop);
-      std::uint64_t wait_ms = kIdleWaitMs;
-      if (next_gate_ns > now) {
-        wait_ms = std::min<std::uint64_t>(
-            wait_ms, (next_gate_ns - now) / 1'000'000 + 1);
-      }
-      ep.cv.wait_for(lock, std::chrono::milliseconds(wait_ms), [&] {
-        if (ep.stop) return true;
-        const std::uint64_t t = obs::detail::monotonic_ns();
-        for (const auto& [id, p] : ep.pending) {
-          if (!p->sent && p->not_before_ns <= t) return true;
-        }
-        return false;
-      });
+    // Sleep until a reply arrives (while any is outstanding), new work or
+    // stop signals the wake eventfd, or the earliest Busy gate opens. The
+    // eventfd stays signalled until read, so no enqueue is ever missed.
+    const int timeout_ms = next_gate_ns > now ? ms_until(next_gate_ns, now)
+                                              : -1;
+    if (!wait_wake_or_readable(ep.wake, inflight > 0 ? fd : -1,
+                               timeout_ms)) {
       continue;
     }
-
     Frame frame;
-    const ReadStatus status = read_frame(fd, frame, kPoolPollSliceMs);
+    const ReadStatus status = read_frame(fd, frame, 0);
     if (status == ReadStatus::Timeout) continue;
     if (status != ReadStatus::Ok) return settle(ServeEnd::Lost);
     switch (frame.type) {
@@ -325,11 +374,13 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
         std::lock_guard<std::mutex> lock(ep.mutex);
         const auto it = ep.pending.find(response->request_id);
         if (it == ep.pending.end()) break;  // already failed and reaped
-        it->second->done = true;
-        it->second->response = std::move(*response);
+        Pending& p = *it->second;
+        p.done = true;
+        p.response = std::move(*response);
+        if (p.traced) p.received_ns = obs::detail::monotonic_ns();
+        p.resolved.notify_one();
         ep.pending.erase(it);
         resolve_one();
-        ep.cv.notify_all();
         break;
       }
       case MsgType::Busy: {
@@ -368,9 +419,9 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
                        " (" + std::string(error_code_name(error->code)) +
                        "): " + error->message);
         it->second->failed = true;
+        it->second->resolved.notify_one();
         ep.pending.erase(it);
         resolve_one();
-        ep.cv.notify_all();
         break;
       }
       default:

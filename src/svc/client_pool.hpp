@@ -11,8 +11,11 @@
 // out-of-order responses to callers by request id.
 //
 // One worker thread per endpoint owns that endpoint's socket exclusively;
-// callers enqueue a pending entry and block until the worker resolves it.
-// The worker transparently re-dials a lost connection with exponential
+// callers enqueue a pending entry, signal the endpoint's wake eventfd, and
+// block until the worker resolves that entry (only its own caller wakes).
+// The worker polls the eventfd beside the socket, so a request enqueued
+// while others are in flight goes on the wire at once. The worker
+// transparently re-dials a lost connection with exponential
 // backoff (deterministically jittered — never util::Rng, which would
 // perturb result streams) and replays every request that was in flight
 // when the connection died or the server answered Error(draining). Busy
@@ -27,6 +30,11 @@
 // to its local sizer. By the deterministic key-seeded sizing discipline
 // the fallback bytes equal the served bytes, so campaign outputs are
 // byte-identical at any inflight depth, shard count, or failure pattern.
+//
+// Tracing: when span collection is on and the endpoint's server announced
+// minor >= 1, each request carries a TraceContext (one the caller set is
+// kept), and the caller records the merged client+server spans from the
+// reply trailer (svc::record_merged_spans), as svc::Client does.
 //
 // Live metrics: svc.pool.inflight (gauge, requests on the wire across all
 // endpoints), svc.pool.reconnects, svc.pool.replays, svc.pool.busy, and
@@ -43,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "svc/client.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
 
@@ -133,15 +142,20 @@ class ClientPool {
     bool done = false;
     bool failed = false;
     EvalResponse response;  ///< valid when done
+    /// The trace this pool attached, re-stamped at every send.
+    std::optional<TracedRequest> traced;
+    std::uint64_t received_ns = 0;  ///< reply arrival, when traced
+    /// Worker -> this caller: resolved, failed, or the pool stopped.
+    std::condition_variable resolved;
   };
 
   struct Endpoint {
     Address address;
     std::size_t index = 0;
     mutable std::mutex mutex;
-    /// Signals both directions: caller -> worker (new work, stop) and
-    /// worker -> caller (request resolved).
-    std::condition_variable cv;
+    /// Caller -> worker: new work or stop. An eventfd the worker polls
+    /// beside its socket.
+    Fd wake;
     std::map<std::uint64_t, std::shared_ptr<Pending>> pending;
     bool down = false;
     bool stop = false;
@@ -157,10 +171,14 @@ class ClientPool {
 
   void run_endpoint(Endpoint& ep);
   /// Pipelines requests on an established connection until it is lost or
-  /// the pool stops.
-  ServeEnd serve(Endpoint& ep, int fd);
-  /// Dials + handshakes; returns an invalid Fd on any failure.
-  Fd dial(const Address& address);
+  /// the pool stops. `server_minor` is the minor revision the server
+  /// announced in its HelloOk.
+  ServeEnd serve(Endpoint& ep, int fd, std::uint32_t server_minor);
+  /// Dials + handshakes; returns an invalid Fd on any failure, else sets
+  /// `server_minor`.
+  Fd dial(const Address& address, std::uint32_t& server_minor);
+  /// Sleeps `ms` on the wake eventfd; true when the pool stopped meanwhile.
+  bool sleep_unless_stopped(Endpoint& ep, std::uint32_t ms);
   /// Marks every sent-unanswered request for resend (counting replays) so
   /// the next connection replays it. Called with the connection dead.
   void mark_for_replay(Endpoint& ep);

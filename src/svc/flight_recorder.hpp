@@ -23,7 +23,8 @@ struct FlightRecord {
   std::uint64_t key_digest = 0;   ///< core::EvalKey digest (0 for errors)
   ServedFrom served_from = ServedFrom::Computed;
   bool ok = false;                ///< served Ok (false: Error reply)
-  std::uint64_t queue_ns = 0;     ///< admission -> pool pickup
+  std::uint64_t queue_ns = 0;     ///< admission -> pool pickup, or ->
+                                  ///< a memory hit's lookup
   std::uint64_t decode_ns = 0;
   std::uint64_t eval_ns = 0;      ///< cache/store lookup or full sizing
   std::uint64_t encode_ns = 0;

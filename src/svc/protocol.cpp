@@ -177,6 +177,15 @@ std::optional<EvalRequest> decode_eval_request(std::string_view payload) {
   return request;
 }
 
+std::string_view eval_request_config(std::string_view payload,
+                                     const EvalRequest& request) {
+  // After the configuration come the u64 topology index and, when traced,
+  // the tail encode_eval_request writes: u8 flag, u64 trace id, u64 span.
+  constexpr std::size_t kU64 = sizeof(std::uint64_t);
+  const std::size_t after = kU64 + (request.trace ? 1 + 2 * kU64 : 0);
+  return payload.substr(kU64, payload.size() - kU64 - after);
+}
+
 std::string encode_eval_response(const EvalResponse& response) {
   std::string out;
   out.reserve(16 + response.record_payload.size());

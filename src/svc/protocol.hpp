@@ -148,7 +148,8 @@ std::string_view served_from_name(ServedFrom served);
 struct ServerTimings {
   std::uint64_t trace_id = 0;        ///< echoed from the request
   std::uint64_t server_span_id = 0;  ///< id of the server's evaluate span
-  std::uint64_t queue_ns = 0;        ///< admission -> pool pickup
+  std::uint64_t queue_ns = 0;        ///< admission -> pool pickup, or ->
+                                     ///< a memory hit's lookup
   std::uint64_t decode_ns = 0;
   std::uint64_t eval_ns = 0;
   std::uint64_t encode_ns = 0;
@@ -228,6 +229,14 @@ std::optional<HelloInfo> decode_hello_ok(std::string_view payload);
 
 std::string encode_eval_request(const EvalRequest& request);
 std::optional<EvalRequest> decode_eval_request(std::string_view payload);
+
+/// The configuration bytes of an EvalRequest payload that
+/// decode_eval_request accepted as `request`: every field between the
+/// request id and the topology index (spec, behavioral model, AC options,
+/// sizing protocol). Equal bytes decode to an equal configuration, so they
+/// can key per-configuration state without rendering it.
+std::string_view eval_request_config(std::string_view payload,
+                                     const EvalRequest& request);
 
 std::string encode_eval_response(const EvalResponse& response);
 std::optional<EvalResponse> decode_eval_response(std::string_view payload);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "circuit/rules.hpp"
 #include "core/eval_key.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
@@ -302,12 +303,20 @@ bool Server::dispatch(const std::shared_ptr<Connection>& conn,
         std::lock_guard<std::mutex> lock(conn->pending_mutex);
         ++conn->pending;
       }
-      const std::uint64_t admitted_at = obs::detail::monotonic_ns();
-      const std::uint64_t bytes_in = kFrameHeaderSize + frame.payload.size();
-      pool_->submit([this, conn, request = std::move(*request), admitted_at,
-                     decode_ns, bytes_in, server_span_id]() mutable {
-        process_request(std::move(conn), std::move(request), admitted_at,
-                        decode_ns, bytes_in, server_span_id);
+      Admitted admitted{conn, std::move(*request),
+                        obs::detail::monotonic_ns(), server_span_id, {}};
+      FlightRecord& flight = admitted.flight;
+      flight.request_id = admitted.request.request_id;
+      flight.decode_ns = decode_ns;
+      flight.bytes_in = kFrameHeaderSize + frame.payload.size();
+      flight.peer = conn->peer();
+      flight.trace_id = trace_id;
+      const std::string_view config =
+          eval_request_config(frame.payload, admitted.request);
+      if (answer_from_memory(admitted, config)) return true;
+      pool_->submit([this, admitted = std::move(admitted),
+                     config = std::string(config)]() mutable {
+        process_request(admitted, config);
       });
       return true;
     }
@@ -319,87 +328,124 @@ bool Server::dispatch(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void Server::process_request(std::shared_ptr<Connection> conn,
-                             EvalRequest request,
-                             std::uint64_t admitted_at_ns,
-                             std::uint64_t decode_ns, std::uint64_t bytes_in,
-                             std::uint64_t server_span_id) {
-  FlightRecord flight;
-  flight.request_id = request.request_id;
-  flight.decode_ns = decode_ns;
-  flight.bytes_in = bytes_in;
-  flight.peer = conn->peer();
-  if (request.trace) flight.trace_id = request.trace->trace_id;
+bool Server::answer_from_memory(Admitted& admitted,
+                                std::string_view config) {
   const std::uint64_t eval_start = obs::detail::monotonic_ns();
-  flight.queue_ns = eval_start - admitted_at_ns;
-  // Publishes the flight record and the latency sample. Called BEFORE the
-  // response hits the wire so a client that requests stats right after its
-  // reply is guaranteed to see this request already recorded.
-  bool recorded = false;
-  const auto record_flight = [&] {
-    if (recorded) return;
-    recorded = true;
-    const std::uint64_t completed_at = obs::detail::monotonic_ns();
-    flight.total_ns = completed_at - admitted_at_ns;
-    flight.completed_at_ns = completed_at;
-    request_latency().record(flight.total_ns);
-    if (flight_) flight_->record(flight);
-    write_access_log(flight);
-  };
+  // Only a hit stays on this thread: an unseen configuration, an
+  // out-of-range topology (the pool replies with the error), a miss and a
+  // key in progress all go to the pool untouched.
+  const std::uint64_t index = admitted.request.topology_index;
+  if (index >= circuit::design_space_size()) return false;
+  Shard* shard = find_shard(config);
+  if (shard == nullptr) return false;
+  const core::EvalKey key = shard->keys.key_for(
+      circuit::Topology::from_index(static_cast<std::size_t>(index)));
+  EvalResponse response;
+  {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    const std::string* hit = shard->cache.find(key.digest);
+    if (hit == nullptr) return false;
+    response.record_payload = *hit;
+  }
+  response.served_from = ServedFrom::Memory;
+  admitted.flight.key_digest = key.digest;
+  admitted.flight.queue_ns = eval_start - admitted.admitted_at_ns;
+  reply(admitted, eval_start, std::move(response));
+  release(*admitted.conn);
+  return true;
+}
+
+void Server::process_request(Admitted& admitted, std::string_view config) {
+  FlightRecord& flight = admitted.flight;
+  const std::uint64_t eval_start = obs::detail::monotonic_ns();
+  flight.queue_ns = eval_start - admitted.admitted_at_ns;
+  const EvalRequest& request = admitted.request;
   try {
-    EvalResponse response = serve_request(request, flight.key_digest);
-    flight.eval_ns = obs::detail::monotonic_ns() - eval_start;
-    evaluate_histogram().record(flight.eval_ns);
-    record_server_span("svc.evaluate", eval_start, flight.eval_ns,
-                       flight.trace_id, server_span_id);
-    response.request_id = request.request_id;
-    flight.served_from = response.served_from;
-    served_counter(response.served_from).add();
-    if (request.trace) {
-      // Trailer for the client's merged trace; encode_ns is back-filled by
-      // re-encoding, so the histogram sees the real (first) encode cost.
-      response.timings =
-          ServerTimings{request.trace->trace_id, server_span_id,
-                        flight.queue_ns, decode_ns, flight.eval_ns, 0};
-    }
-    const std::uint64_t encode_start = obs::detail::monotonic_ns();
-    std::string payload = encode_eval_response(response);
-    flight.encode_ns = obs::detail::monotonic_ns() - encode_start;
-    encode_histogram().record(flight.encode_ns);
-    record_server_span("svc.encode", encode_start, flight.encode_ns,
-                       flight.trace_id, server_span_id);
-    if (response.timings) {
-      response.timings->encode_ns = flight.encode_ns;
-      payload = encode_eval_response(response);
-    }
-    flight.bytes_out = kFrameHeaderSize + payload.size();
-    flight.ok = true;  // served; delivery failures surface via conn->broken()
-    record_flight();
-    conn->send(MsgType::EvalResponse, payload);
+    reply(admitted, eval_start,
+          serve_request(request, config, flight.key_digest));
   } catch (const std::invalid_argument& e) {
     flight.eval_ns = obs::detail::monotonic_ns() - eval_start;
-    conn->send_error(request.request_id, ErrorCode::MalformedRequest,
-                     e.what());
+    admitted.conn->send_error(request.request_id,
+                              ErrorCode::MalformedRequest, e.what());
   } catch (const std::exception& e) {
     flight.eval_ns = obs::detail::monotonic_ns() - eval_start;
-    conn->send_error(request.request_id, ErrorCode::Internal, e.what());
+    admitted.conn->send_error(request.request_id, ErrorCode::Internal,
+                              e.what());
   }
-  record_flight();  // error paths record too (with ok still false)
+  record_flight(admitted);  // error paths record too (with ok still false)
+  release(*admitted.conn);
+}
 
-  // Release the in-flight slot and this connection's pending count; the
-  // connection's closer may be waiting on the latter.
-  {
-    std::lock_guard<std::mutex> lock(conn->pending_mutex);
-    --conn->pending;
+void Server::reply(Admitted& admitted, std::uint64_t eval_start_ns,
+                   EvalResponse response) {
+  const EvalRequest& request = admitted.request;
+  FlightRecord& flight = admitted.flight;
+  flight.eval_ns = obs::detail::monotonic_ns() - eval_start_ns;
+  evaluate_histogram().record(flight.eval_ns);
+  record_server_span("svc.evaluate", eval_start_ns, flight.eval_ns,
+                     flight.trace_id, admitted.server_span_id);
+  response.request_id = request.request_id;
+  flight.served_from = response.served_from;
+  served_counter(response.served_from).add();
+  if (request.trace) {
+    // Trailer for the client's merged trace; encode_ns is back-filled by
+    // re-encoding, so the histogram sees the real (first) encode cost.
+    response.timings =
+        ServerTimings{request.trace->trace_id, admitted.server_span_id,
+                      flight.queue_ns, flight.decode_ns, flight.eval_ns, 0};
   }
-  conn->pending_cv.notify_all();
+  const std::uint64_t encode_start = obs::detail::monotonic_ns();
+  std::string payload = encode_eval_response(response);
+  flight.encode_ns = obs::detail::monotonic_ns() - encode_start;
+  encode_histogram().record(flight.encode_ns);
+  record_server_span("svc.encode", encode_start, flight.encode_ns,
+                     flight.trace_id, admitted.server_span_id);
+  if (response.timings) {
+    response.timings->encode_ns = flight.encode_ns;
+    payload = encode_eval_response(response);
+  }
+  flight.bytes_out = kFrameHeaderSize + payload.size();
+  flight.ok = true;  // served; delivery failures surface via conn->broken()
+  // Recorded BEFORE the response hits the wire, so a client that requests
+  // stats right after its reply is guaranteed to see this request.
+  record_flight(admitted);
+  admitted.conn->send(MsgType::EvalResponse, payload);
+}
+
+void Server::record_flight(Admitted& admitted) {
+  FlightRecord& flight = admitted.flight;
+  if (flight.completed_at_ns != 0) return;  // already recorded
+  const std::uint64_t completed_at = obs::detail::monotonic_ns();
+  flight.total_ns = completed_at - admitted.admitted_at_ns;
+  flight.completed_at_ns = completed_at;
+  request_latency().record(flight.total_ns);
+  if (flight_) flight_->record(flight);
+  write_access_log(flight);
+}
+
+void Server::release(Connection& conn) {
+  // The connection's closer may be waiting on the pending count.
+  {
+    std::lock_guard<std::mutex> lock(conn.pending_mutex);
+    --conn.pending;
+  }
+  conn.pending_cv.notify_all();
   const std::size_t now =
       inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
   inflight_gauge().set(static_cast<double>(now));
 }
 
-Server::Shard& Server::shard_for(const EvalRequest& request) {
-  // Cheap probe: building the key context renders the canonical prefix.
+Server::Shard* Server::find_shard(std::string_view config) {
+  std::lock_guard<std::mutex> lock(shards_mutex_);
+  const auto it = shard_by_config_.find(config);
+  return it == shard_by_config_.end() ? nullptr : it->second;
+}
+
+Server::Shard& Server::shard_for(const EvalRequest& request,
+                                 std::string_view config) {
+  if (Shard* shard = find_shard(config)) return *shard;
+  // Unseen bytes: render the prefix once. Byte-different configurations
+  // with an equal prefix share that prefix's shard.
   core::EvalKeyContext probe(request.eval_context(), request.sizing);
   std::lock_guard<std::mutex> lock(shards_mutex_);
   auto it = shards_.find(probe.prefix());
@@ -413,18 +459,23 @@ Server::Shard& Server::shard_for(const EvalRequest& request) {
                    {{"spec", request.spec.name},
                     {"shards", shards_.size()}});
   }
+  shard_by_config_.emplace(config, it->second.get());
   return *it->second;
 }
 
 EvalResponse Server::serve_request(const EvalRequest& request,
+                                   std::string_view config,
                                    std::uint64_t& key_digest) {
   // Timed by the caller (process_request), which owns the svc.evaluate
   // histogram sample and trace span so it can tag propagated trace ids.
-  // Validates the topology index (throws std::invalid_argument -> the
-  // MalformedRequest reply).
+  if (request.topology_index >= circuit::design_space_size()) {
+    throw std::invalid_argument("topology index " +
+                                std::to_string(request.topology_index) +
+                                " is outside the design space");
+  }
   const circuit::Topology topology = circuit::Topology::from_index(
       static_cast<std::size_t>(request.topology_index));
-  Shard& shard = shard_for(request);
+  Shard& shard = shard_for(request, config);
   const core::EvalKey key = shard.keys.key_for(topology);
   key_digest = key.digest;
 

@@ -9,11 +9,13 @@
 // (explicit backpressure) instead of unbounded buffering.
 //
 // Threading model: svc::ConnectionHost accepts and gives each client its
-// own thread running the shared framed loop (svc::serve_framed); evaluation
-// tasks run on the shared pool, and responses are written back under the
-// connection's write mutex (responses to one connection may interleave
-// across requests but never across frames). Responses are keyed by the
-// client's request id and may arrive out of order.
+// own thread running the shared framed loop (svc::serve_framed). A request
+// whose key is already in its shard's memory tier is answered on that
+// connection thread; every other request (a miss, a key in progress, a
+// store hit, any error) becomes a task on the shared pool. Responses are
+// written under the connection's write mutex (responses to one connection
+// may interleave across requests but never across frames), keyed by the
+// client's request id, and may arrive out of order.
 //
 // Shutdown: begin_drain() — or a byte written to wake_fd(), which is the
 // async-signal-safe spelling used by intooa-served's SIGTERM/SIGINT
@@ -39,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -140,19 +143,46 @@ class Server {
   /// in-progress dedup).
   struct Shard;
 
+  /// An admitted EvalRequest. It holds one in-flight slot and one pending
+  /// response on its connection until release().
+  struct Admitted {
+    std::shared_ptr<Connection> conn;
+    EvalRequest request;
+    std::uint64_t admitted_at_ns = 0;
+    std::uint64_t server_span_id = 0;  ///< 0 when the request is untraced
+    FlightRecord flight;               ///< filled in as it is served
+  };
+
   void handle_connection(Fd fd, std::string peer);
   /// Dispatches one decoded frame; returns false when the connection must
   /// close (protocol violation).
   bool dispatch(const std::shared_ptr<Connection>& conn, const Frame& frame);
-  void process_request(std::shared_ptr<Connection> conn, EvalRequest request,
-                       std::uint64_t admitted_at_ns, std::uint64_t decode_ns,
-                       std::uint64_t bytes_in, std::uint64_t server_span_id);
-  /// Serves one evaluation through the cache tiers; returns the encoded
-  /// EvalResponse payload and reports the evaluation key digest (for the
-  /// flight recorder). Throws on internal failure.
+  /// Connection thread: answers `admitted` when its key is in its shard's
+  /// memory tier and releases it. Returns false, having sent nothing, for
+  /// every other request. `config` is the request's configuration bytes.
+  bool answer_from_memory(Admitted& admitted, std::string_view config);
+  /// Pool task: serves `admitted` through every tier, replies (or sends
+  /// the error), and releases it.
+  void process_request(Admitted& admitted, std::string_view config);
+  /// Times, encodes and sends an Ok reply, recording its flight first.
+  void reply(Admitted& admitted, std::uint64_t eval_start_ns,
+             EvalResponse response);
+  /// Publishes the flight record and the latency sample; once per request.
+  void record_flight(Admitted& admitted);
+  /// Returns the in-flight slot and the connection's pending count.
+  void release(Connection& conn);
+  /// Serves one evaluation through the cache tiers and reports the
+  /// evaluation key digest (for the flight recorder). Throws
+  /// std::invalid_argument on a malformed request, and on internal failure.
   EvalResponse serve_request(const EvalRequest& request,
+                             std::string_view config,
                              std::uint64_t& key_digest);
-  Shard& shard_for(const EvalRequest& request);
+  /// The shard of configuration bytes seen before, or nullptr.
+  Shard* find_shard(std::string_view config);
+  /// find_shard(), creating the shard (or aliasing the bytes to the shard
+  /// of an equal EvalKeyContext prefix) on first sight. Throws
+  /// std::invalid_argument on an invalid sizing configuration.
+  Shard& shard_for(const EvalRequest& request, std::string_view config);
 
   /// Refreshes the liveness gauges (svc.uptime_seconds, svc.inflight) —
   /// called on every accept-loop tick so a snapshot is meaningful even
@@ -180,8 +210,21 @@ class Server {
   std::mutex stats_cv_mutex_;
   std::condition_variable stats_cv_;
 
+  /// Transparent hash, so a string_view finds a std::string key.
+  struct BytesHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view bytes) const {
+      return std::hash<std::string_view>{}(bytes);
+    }
+  };
+
   std::mutex shards_mutex_;
+  /// EvalKeyContext prefix -> shard: a shard's identity.
   std::unordered_map<std::string, std::unique_ptr<Shard>> shards_;
+  /// Configuration bytes -> shard, so a request finds its shard without
+  /// rendering the prefix. Equal bytes decode to an equal configuration.
+  std::unordered_map<std::string, Shard*, BytesHash, std::equal_to<>>
+      shard_by_config_;
 
   /// Declared last: destroyed first, so its final join runs while every
   /// member a connection thread touches is still alive.

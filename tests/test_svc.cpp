@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "circuit/rules.hpp"
 #include "core/eval_key.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -183,6 +184,33 @@ TEST(SvcProtocol, EvalRequestRoundTripsEveryField) {
   const core::EvalKeyContext a(request.eval_context(), request.sizing);
   const core::EvalKeyContext b(decoded->eval_context(), decoded->sizing);
   EXPECT_EQ(a.prefix(), b.prefix());
+}
+
+TEST(SvcProtocol, ConfigBytesAreExactlyTheConfigurationFields) {
+  const auto config_of = [](const svc::EvalRequest& request) {
+    const std::string payload = svc::encode_eval_request(request);
+    const auto decoded = svc::decode_eval_request(payload);
+    EXPECT_TRUE(decoded.has_value());
+    return std::string(svc::eval_request_config(payload, *decoded));
+  };
+  const std::string base = config_of(tiny_request(1, 5));
+  // Request id, topology index and trace tail are not configuration.
+  svc::EvalRequest traced = tiny_request(99, 6);
+  traced.trace = svc::TraceContext{7, 8};
+  EXPECT_EQ(config_of(traced), base);
+  // The spec name opens the configuration, check_stability sits in its
+  // middle and refit_hyper_every closes it: each one changes the bytes.
+  EXPECT_NE(config_of(tiny_request(1, 5, "S-2")), base);
+  svc::EvalRequest unstable = tiny_request(1, 5);
+  unstable.ac.check_stability = !unstable.ac.check_stability;
+  EXPECT_NE(config_of(unstable), base);
+  svc::EvalRequest refit = tiny_request(1, 5);
+  refit.sizing.refit_hyper_every = 2;
+  const std::string refit_config = config_of(refit);
+  EXPECT_NE(refit_config, base);
+  EXPECT_EQ(refit_config.size(), base.size());
+  EXPECT_EQ(refit_config.substr(0, base.size() - 4),
+            base.substr(0, base.size() - 4));
 }
 
 TEST(SvcProtocol, DecodersRejectTruncationAndTrailingBytes) {
@@ -600,6 +628,142 @@ TEST(SvcServer, TcpLoopbackRoundTrip) {
   } catch (const std::runtime_error& error) {
     GTEST_SKIP() << "tcp endpoint unavailable: " << error.what();
   }
+}
+
+// ---- memory hits on the connection thread ---------------------------------
+
+/// Computes `request` once (through its own connection), so the server's
+/// shard holds it in its memory tier.
+void warm(const svc::Address& address, const svc::EvalRequest& request) {
+  svc::Client client;
+  client.connect(address);
+  const svc::Reply reply = client.evaluate(request, 30'000);
+  ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
+  ASSERT_EQ(reply.response.served_from, svc::ServedFrom::Computed);
+}
+
+/// Waits until every in-flight slot is released: a reply is sent just
+/// before its slot is returned. Reads the svc.inflight gauge, so telemetry
+/// must be on.
+void wait_for_free_slots() {
+  const obs::Gauge& inflight = obs::registry().gauge("svc.inflight");
+  for (int i = 0; i < 10'000 && inflight.value() != 0.0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(inflight.value(), 0.0);
+}
+
+TEST(SvcServer, MemoryHitIsAnsweredAheadOfAHeldComputation) {
+  svc::ServerConfig config = base_config(fresh_unix("svc-hit-first"));
+  config.threads = 1;
+  config.test_eval_delay_ms = 400;
+  TestServer ts(std::move(config));
+  const svc::Address& address = ts.server.config().address;
+  warm(address, tiny_request(1, 20));
+
+  // The computed request holds the only pool thread; the hit behind it on
+  // the same connection is answered by the connection thread first.
+  svc::Client client;
+  client.connect(address);
+  client.send_request(tiny_request(2, 21));
+  client.send_request(tiny_request(3, 20));
+  const svc::Reply first = client.read_reply(30'000);
+  ASSERT_EQ(first.kind, svc::Reply::Kind::Ok);
+  EXPECT_EQ(first.response.request_id, 3u);
+  EXPECT_EQ(first.response.served_from, svc::ServedFrom::Memory);
+  EXPECT_EQ(first.response.record_payload,
+            evaluate_in_process(tiny_request(3, 20)));
+  const svc::Reply second = client.read_reply(30'000);
+  ASSERT_EQ(second.kind, svc::Reply::Kind::Ok);
+  EXPECT_EQ(second.response.request_id, 2u);
+  EXPECT_EQ(second.response.served_from, svc::ServedFrom::Computed);
+}
+
+TEST(SvcServer, MemoryHitStillTakesAnInflightSlot) {
+  obs::set_enabled(true);
+  svc::ServerConfig config = base_config(fresh_unix("svc-hit-busy"));
+  config.max_inflight = 1;
+  config.test_eval_delay_ms = 400;
+  TestServer ts(std::move(config));
+  const svc::Address& address = ts.server.config().address;
+  warm(address, tiny_request(1, 22));
+  wait_for_free_slots();
+
+  svc::Client client;
+  client.connect(address);
+  client.send_request(tiny_request(2, 23));  // computed: holds the slot
+  client.send_request(tiny_request(3, 22));  // a hit, but no slot is free
+  const svc::Reply first = client.read_reply(30'000);
+  ASSERT_EQ(first.kind, svc::Reply::Kind::Busy);
+  EXPECT_EQ(first.busy.request_id, 3u);
+  const svc::Reply second = client.read_reply(30'000);
+  ASSERT_EQ(second.kind, svc::Reply::Kind::Ok);
+  EXPECT_EQ(second.response.request_id, 2u);
+  // With the slot back, the hit is served from memory.
+  wait_for_free_slots();
+  const svc::Reply retried = client.evaluate(tiny_request(4, 22), 30'000);
+  ASSERT_EQ(retried.kind, svc::Reply::Kind::Ok);
+  EXPECT_EQ(retried.response.served_from, svc::ServedFrom::Memory);
+}
+
+TEST(SvcServer, StatsAreAnsweredWhileAMissComputes) {
+  obs::set_enabled(true);
+  svc::ServerConfig config = base_config(fresh_unix("svc-hit-stats"));
+  config.test_eval_delay_ms = 500;
+  TestServer ts(std::move(config));
+  svc::Client client;
+  client.connect(ts.server.config().address);
+  client.send_request(tiny_request(1, 24));
+  // Admission sets svc.inflight before the miss reaches the pool, so a
+  // stats document that reads 1 was written while it computed.
+  const obs::Json root = obs::Json::parse(client.stats_json(false, 30'000));
+  EXPECT_EQ(root.at("metrics").at("gauges").at("svc.inflight").as_number(),
+            1.0);
+  const svc::Reply reply = client.read_reply(30'000);
+  ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
+  EXPECT_EQ(reply.response.request_id, 1u);
+}
+
+TEST(SvcServer, OutOfRangeTopologyIsMalformedOnEveryPath) {
+  TestServer ts(base_config(fresh_unix("svc-hit-range")));
+  const svc::Address& address = ts.server.config().address;
+  warm(address, tiny_request(1, 25));
+  const std::uint64_t size = circuit::design_space_size();
+  svc::Client client;
+  client.connect(address);
+  // A configuration the server holds a shard for, then one it has never
+  // seen; the index is checked before any shard is used or made.
+  for (const svc::EvalRequest& request :
+       {tiny_request(2, size), tiny_request(3, ~std::uint64_t{0}),
+        tiny_request(4, size, "S-3")}) {
+    const svc::Reply reply = client.evaluate(request, 30'000);
+    ASSERT_EQ(reply.kind, svc::Reply::Kind::Error) << request.request_id;
+    EXPECT_EQ(reply.error.request_id, request.request_id);
+    EXPECT_EQ(reply.error.code, svc::ErrorCode::MalformedRequest);
+  }
+  // The connection stays usable, and the last index in range is served.
+  const svc::Reply last = client.evaluate(tiny_request(5, size - 1), 30'000);
+  ASSERT_EQ(last.kind, svc::Reply::Kind::Ok);
+  EXPECT_EQ(last.response.record_payload,
+            evaluate_in_process(tiny_request(5, size - 1)));
+}
+
+TEST(SvcServer, TraceTailAndRequestIdDoNotSplitTheShard) {
+  TestServer ts(base_config(fresh_unix("svc-hit-shard")));
+  warm(ts.server.config().address, tiny_request(1, 26));
+  // Same configuration, another id and a trace tail: the shard is found by
+  // the configuration bytes alone, so the key is a memory hit.
+  svc::EvalRequest traced = tiny_request(77, 26);
+  traced.trace = svc::TraceContext{0xabc, 0xdef};
+  svc::Client client;
+  client.connect(ts.server.config().address);
+  const svc::Reply reply = client.evaluate(traced, 30'000);
+  ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
+  EXPECT_EQ(reply.response.served_from, svc::ServedFrom::Memory);
+  ASSERT_TRUE(reply.response.timings.has_value());
+  EXPECT_EQ(reply.response.timings->trace_id, 0xabcu);
+  EXPECT_EQ(reply.response.record_payload,
+            evaluate_in_process(tiny_request(1, 26)));
 }
 
 // ---- protocol minor revision 1: stats, trace context, timings -------------
@@ -1119,6 +1283,127 @@ TEST(SvcClientPool, ReconnectsAndReplaysAcrossServerRestart) {
   EXPECT_GE(stats.reconnects(), 1u);
   EXPECT_GE(stats.replays(), 1u);
   EXPECT_FALSE(stats.endpoints[0].down);
+}
+
+// Regression: the endpoint worker used to block in a 20 ms read slice
+// while any reply was outstanding, so a request enqueued meanwhile waited
+// for an unrelated reply or the slice's end before it was sent.
+TEST(SvcClientPool, RequestsEnqueuedBehindAnOutstandingReplyAreSentAtOnce) {
+  svc::ServerConfig server_config = base_config(fresh_unix("pool-wake"));
+  server_config.threads = 2;
+  server_config.test_eval_delay_ms = 500;
+  TestServer ts(std::move(server_config));
+  svc::ClientPool pool({ts.server.config().address});
+  ASSERT_TRUE(pool.evaluate(tiny_request(0, 200), 0).has_value());
+
+  std::optional<svc::EvalResponse> held;
+  std::thread holder([&] { held = pool.evaluate(tiny_request(0, 201), 0); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    const auto hit = pool.evaluate(tiny_request(0, 200), 0);
+    ASSERT_TRUE(hit.has_value()) << i;
+    EXPECT_EQ(hit->served_from, svc::ServedFrom::Memory) << i;
+  }
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  holder.join();
+  EXPECT_LT(elapsed_ms, 50);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(held->served_from, svc::ServedFrom::Computed);
+}
+
+TEST(SvcClientPool, CarriesTheTraceAndRecordsMergedSpans) {
+  obs::set_enabled(true);
+  obs::start_trace();
+  const std::string trace_path = temp_path("intooa-pool-trace-test.json");
+  std::filesystem::remove(trace_path);
+  {
+    TestServer ts(base_config(fresh_unix("pool-trace")));
+    svc::ClientPool pool({ts.server.config().address});
+    const auto attached = pool.evaluate(tiny_request(0, 210), 0);
+    ASSERT_TRUE(attached.has_value());
+    ASSERT_TRUE(attached->timings.has_value());
+    EXPECT_NE(attached->timings->trace_id, 0u);
+    EXPECT_EQ(attached->record_payload,
+              evaluate_in_process(tiny_request(0, 210)));
+    // A caller's own trace context reaches the server unchanged.
+    svc::EvalRequest own = tiny_request(0, 210);
+    own.trace = svc::TraceContext{0x5eed, 0x1};
+    const auto kept = pool.evaluate(own, 0);
+    ASSERT_TRUE(kept.has_value());
+    ASSERT_TRUE(kept->timings.has_value());
+    EXPECT_EQ(kept->timings->trace_id, 0x5eedu);
+  }
+  ASSERT_TRUE(obs::write_trace(trace_path));
+  obs::stop_trace();
+  const obs::Json trace = obs::Json::parse(slurp(trace_path));
+  std::filesystem::remove(trace_path);
+
+  int client_spans = 0;
+  bool saw_remote_evaluate = false, saw_flow_start = false;
+  bool saw_flow_end = false;
+  for (const obs::Json& event : trace.at("traceEvents").items()) {
+    const std::string& ph = event.at("ph").as_string();
+    const std::string& name = event.at("name").as_string();
+    if (ph == "X" && name == "svc.client.request") ++client_spans;
+    if (ph == "X" && name == "svc.server.evaluate") {
+      saw_remote_evaluate = true;
+      EXPECT_EQ(event.at("pid").as_number(), obs::kRemotePid);
+    }
+    if (ph == "s") saw_flow_start = true;
+    if (ph == "f") saw_flow_end = true;
+  }
+  // Only the request the pool traced itself records merged spans.
+  EXPECT_EQ(client_spans, 1);
+  EXPECT_TRUE(saw_remote_evaluate);
+  EXPECT_TRUE(saw_flow_start);
+  EXPECT_TRUE(saw_flow_end);
+}
+
+// A version-1.0 server rejects an EvalRequest with a trace tail, so the
+// pool sends none to a server that announced no minor revision, even when
+// the caller set one.
+TEST(SvcClientPool, SendsNoTraceTailToAVersion10Server) {
+  const svc::Address address = fresh_unix("pool-v10");
+  const svc::Fd listener = svc::listen_on(address);
+  std::optional<svc::EvalRequest> seen;
+  std::thread server([&] {
+    const svc::Fd conn(::accept(listener.get(), nullptr, nullptr));
+    svc::Frame frame;
+    if (svc::read_frame(conn.get(), frame, 10'000) != svc::ReadStatus::Ok) {
+      return;
+    }
+    // A 1.0 HelloOk: the version alone, no minor tail.
+    svc::write_all(conn.get(), svc::encode_frame(svc::MsgType::HelloOk,
+                                                 svc::encode_hello_ok()));
+    if (svc::read_frame(conn.get(), frame, 10'000) != svc::ReadStatus::Ok) {
+      return;
+    }
+    seen = svc::decode_eval_request(frame.payload);
+    svc::EvalResponse response;
+    response.request_id = seen ? seen->request_id : 0;
+    svc::write_all(conn.get(),
+                   svc::encode_frame(svc::MsgType::EvalResponse,
+                                     svc::encode_eval_response(response)));
+    svc::read_frame(conn.get(), frame, 10'000);  // until the pool closes
+  });
+  obs::set_enabled(true);
+  obs::start_trace();
+  std::optional<svc::EvalResponse> response;
+  {
+    svc::ClientPool pool({address});
+    svc::EvalRequest own = tiny_request(0, 1);
+    own.trace = svc::TraceContext{0x5eed, 0x1};
+    response = pool.evaluate(own, 0);
+  }
+  obs::stop_trace();
+  server.join();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_FALSE(response->timings.has_value());
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_FALSE(seen->trace.has_value());
 }
 
 TEST(SvcClientPool, UnreachableEndpointFailsSoftAndFast) {
