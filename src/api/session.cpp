@@ -89,9 +89,36 @@ Expected<std::uint64_t> Evaluations::shard_digest(
   }
 }
 
+Expected<std::uint64_t> Evaluations::cached_shard_digest(
+    const svc::EvalRequest& request) {
+  constexpr std::size_t kMaxKeyContexts = 256;
+  try {
+    const std::string config(svc::eval_request_config(
+        svc::encode_eval_request(request), request));
+    std::shared_ptr<const core::EvalKeyContext> keys;
+    {
+      std::lock_guard<std::mutex> lock(keys_mutex_);
+      const auto it = keys_.find(config);
+      if (it != keys_.end()) keys = it->second;
+    }
+    if (!keys) {
+      keys = std::make_shared<const core::EvalKeyContext>(
+          request.eval_context(), request.sizing);
+      std::lock_guard<std::mutex> lock(keys_mutex_);
+      if (keys_.size() >= kMaxKeyContexts) keys_.clear();
+      keys_.emplace(config, keys);
+    }
+    return keys
+        ->key_for(circuit::Topology::from_index(request.topology_index))
+        .digest;
+  } catch (const std::exception& e) {
+    return error_from_exception(e);
+  }
+}
+
 Expected<EvaluationOutcome> Evaluations::evaluate(
     const svc::EvalRequest& request) {
-  Expected<std::uint64_t> digest = shard_digest(request);
+  Expected<std::uint64_t> digest = cached_shard_digest(request);
   if (!digest.ok()) return digest.error();
   Expected<svc::ClientPool*> pool = session_.eval_pool();
   if (!pool.ok()) return pool.error();

@@ -22,14 +22,15 @@
 // owns the plumbing. Evaluation requests are sharded by EvalKey digest so
 // one key always lands on one server's warm store, exactly like the
 // campaign runner's pool; evaluation failure is soft inside the pool
-// (down endpoints are probed in the background) and becomes Unavailable
-// here once the pool gives up.
+// (a down endpoint is probed by the first caller after each backoff) and
+// becomes Unavailable here once the pool gives up.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "api/error.hpp"
@@ -40,6 +41,10 @@
 #include "svc/client_pool.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
+
+namespace intooa::core {
+class EvalKeyContext;
+}
 
 namespace intooa::api {
 
@@ -71,7 +76,8 @@ class Session;
 
 /// Evaluation sub-API. Thread-safe: the pool is built exactly once under
 /// a lock (concurrent first calls do not race the install), and once built
-/// it serializes per endpoint so many callers may evaluate concurrently.
+/// each caller makes its own round trip on a pooled connection, so many
+/// callers may evaluate concurrently.
 class Evaluations {
  public:
   /// Evaluates one (spec, sizing, topology) request, blocking until a
@@ -85,10 +91,21 @@ class Evaluations {
   /// callers that pre-partition work).
   static Expected<std::uint64_t> shard_digest(const svc::EvalRequest& request);
 
+  /// shard_digest(), bit for bit, with the EvalKeyContext built once per
+  /// configuration (keyed by the request's configuration bytes,
+  /// svc::eval_request_config) instead of once per call. evaluate() routes
+  /// by it.
+  Expected<std::uint64_t> cached_shard_digest(const svc::EvalRequest& request);
+
  private:
   friend class Session;
   explicit Evaluations(Session& session) : session_(session) {}
   Session& session_;
+  std::mutex keys_mutex_;
+  /// Configuration bytes -> key context; emptied when it holds
+  /// kMaxKeyContexts, so distinct configurations cannot grow it unbounded.
+  std::unordered_map<std::string, std::shared_ptr<const core::EvalKeyContext>>
+      keys_;
 };
 
 /// Job-control sub-API against intooa-schedd. Not thread-safe (one

@@ -199,9 +199,10 @@ CampaignSet run_or_load(const std::string& spec_name, Method method,
 /// --store FILE (persistent cross-campaign evaluation store, opened once
 /// per process and shared by every run), --remote ADDR[,ADDR...] (shard
 /// evaluations across intooa-served endpoints; one shared pool per
-/// process), --remote-inflight N (pipelined requests per connection,
-/// default 4), and --threads N (worker threads for campaign runs and
-/// candidate scoring; default = hardware concurrency, 1 = fully serial).
+/// process), --remote-inflight N (connections, and so requests in
+/// flight, per endpoint; default 4), and --threads N (worker threads for
+/// campaign runs and candidate scoring; default = hardware concurrency,
+/// 1 = fully serial).
 /// from_cli applies the thread count to the global runtime executor and
 /// opens the store (throwing on an unusable store file).
 struct BenchOptions {
@@ -220,9 +221,10 @@ std::shared_ptr<store::EvalStore> open_store_from_cli(const util::Cli& cli);
 
 /// Builds the --remote client pool from the command line (null when the
 /// flag is absent): a comma-separated endpoint list, each in
-/// svc::Address::parse syntax, with --remote-inflight pipelined requests
-/// per connection. Throws std::invalid_argument on an unparseable
-/// endpoint. For benches that do not go through BenchOptions.
+/// svc::Address::parse syntax, with up to --remote-inflight connections
+/// (and so requests in flight) per endpoint. Throws std::invalid_argument
+/// on an unparseable endpoint. For benches that do not go through
+/// BenchOptions.
 std::shared_ptr<svc::ClientPool> open_pool_from_cli(const util::Cli& cli);
 
 /// Validates the command line against the shared campaign flags (--quick,

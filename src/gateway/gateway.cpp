@@ -50,6 +50,13 @@ obs::Histogram& request_histogram() {
       obs::registry().histogram("gateway.request_ns", obs::Unit::Nanoseconds);
   return h;
 }
+/// The evaluation call inside POST /v1/evaluations: the api::Session and
+/// pool hop, without the HTTP and JSON work around it.
+obs::Histogram& evaluate_histogram() {
+  static obs::Histogram& h =
+      obs::registry().histogram("gateway.evaluate_ns", obs::Unit::Nanoseconds);
+  return h;
+}
 
 /// Reads whatever is available (poll-gated). Returns bytes read, 0 on
 /// orderly EOF, -1 on error, -2 on poll timeout.
@@ -439,8 +446,10 @@ HttpResponse Gateway::route_evaluate(const HttpRequest& request) {
   if (!decoded.ok()) return error_response(decoded.error());
   // Evaluations are pool-routed and thread-safe: no session lock held
   // while the (potentially long) evaluation runs.
+  const std::uint64_t evaluate_start = obs::detail::monotonic_ns();
   api::Expected<api::EvaluationOutcome> outcome =
       session_->evaluations().evaluate(decoded.value());
+  evaluate_histogram().record(obs::detail::monotonic_ns() - evaluate_start);
   if (!outcome.ok()) return error_response(outcome.error());
   HttpResponse response;
   response.body =

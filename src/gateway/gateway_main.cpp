@@ -18,7 +18,8 @@
 //   --evaluator ADDR[,ADDR]  intooa-served endpoints for /v1/evaluations
 //                            and /v1/stats (sharded by EvalKey digest)
 //   --scheduler ADDR         intooa-schedd endpoint for the /v1/jobs routes
-//   --inflight N             pipelined evaluations per endpoint (default 4)
+//   --inflight N             connections, and so evaluations in flight,
+//                            per evaluator endpoint (default 4)
 //   --max-connections N      concurrent HTTP connections (default 64)
 //   --idle-timeout-ms MS     keep-alive idle limit (default 60000)
 //   --request-grace-ms MS    slowloris bound: a request must finish

@@ -1,5 +1,7 @@
 #include "svc/client.hpp"
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -22,6 +24,74 @@ namespace {
 std::uint64_t next_trace_id() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// A fresh trace for `request`, stamped with the current time, when span
+/// collection is on (obs::trace_enabled()), the server announced minor >= 1
+/// and the request carries no trace context yet; nullopt otherwise.
+std::optional<TracedRequest> new_trace(const EvalRequest& request,
+                                       std::uint32_t server_minor) {
+  if (!obs::trace_enabled() || server_minor < 1 || request.trace) {
+    return std::nullopt;
+  }
+  TracedRequest traced;
+  traced.sent_ns = obs::detail::monotonic_ns();
+  traced.trace_id = next_trace_id();
+  traced.span_id = next_trace_id();
+  return traced;
+}
+
+/// Records the merged client+server spans of one traced reply: the client
+/// request span on this thread's row, and the server's stage spans,
+/// rebuilt from the reply trailer, on the remote-process row, linked by a
+/// flow event.
+void record_merged_spans(const TracedRequest& traced,
+                         const ServerTimings& timings,
+                         std::uint64_t received_ns) {
+  if (!obs::trace_enabled()) return;
+  // The client request span, on the local process row. Its flow arrow
+  // (id = trace id) lands on the server's evaluate span.
+  obs::TraceEvent request_span;
+  request_span.name = "svc.client.request";
+  request_span.tid = util::thread_ordinal();
+  request_span.start_ns = traced.sent_ns;
+  request_span.duration_ns =
+      received_ns > traced.sent_ns ? received_ns - traced.sent_ns : 0;
+  request_span.trace_id = traced.trace_id;
+  request_span.span_id = traced.span_id;
+  request_span.flow_out = traced.trace_id;
+  obs::trace_record_event(request_span);
+
+  // The server's stage spans, reconstructed from the response trailer on
+  // the remote-process row. The two clocks are unrelated, so the stages
+  // are laid back-to-back and centered inside the client span (the
+  // remaining slack is symmetric transport time) — an approximation that
+  // preserves every duration exactly.
+  const std::uint64_t server_total = timings.decode_ns + timings.queue_ns +
+                                     timings.eval_ns + timings.encode_ns;
+  std::uint64_t offset = 0;
+  if (request_span.duration_ns > server_total) {
+    offset = (request_span.duration_ns - server_total) / 2;
+  }
+  std::uint64_t cursor = traced.sent_ns + offset;
+  const auto stage = [&](const char* name, std::uint64_t duration_ns,
+                         bool is_evaluate) {
+    obs::TraceEvent event;
+    event.name = name;
+    event.pid = obs::kRemotePid;
+    event.tid = 0;
+    event.start_ns = cursor;
+    event.duration_ns = duration_ns;
+    event.trace_id = timings.trace_id;
+    event.span_id = timings.server_span_id;
+    if (is_evaluate) event.flow_in = traced.trace_id;
+    obs::trace_record_event(event);
+    cursor += duration_ns;
+  };
+  stage("svc.server.decode", timings.decode_ns, false);
+  stage("svc.server.queue", timings.queue_ns, false);
+  stage("svc.server.evaluate", timings.eval_ns, true);
+  stage("svc.server.encode", timings.encode_ns, false);
 }
 
 }  // namespace
@@ -87,18 +157,6 @@ void Client::connect(const Address& address) {
                   {"build", util::version_string()}});
 }
 
-std::optional<TracedRequest> new_trace(const EvalRequest& request,
-                                       std::uint32_t server_minor) {
-  if (!obs::trace_enabled() || server_minor < 1 || request.trace) {
-    return std::nullopt;
-  }
-  TracedRequest traced;
-  traced.sent_ns = obs::detail::monotonic_ns();
-  traced.trace_id = next_trace_id();
-  traced.span_id = next_trace_id();
-  return traced;
-}
-
 void Client::send_request(const EvalRequest& request) {
   if (!connected()) {
     throw TransportError(TransportError::Kind::ConnectionLost,
@@ -118,6 +176,10 @@ void Client::send_request(const EvalRequest& request) {
     throw TransportError(TransportError::Kind::ConnectionLost,
                          "svc: connection lost while sending request");
   }
+}
+
+void Client::shutdown() {
+  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
 }
 
 Reply Client::read_reply(int timeout_ms) {
@@ -223,55 +285,6 @@ bool Client::ping(std::uint64_t nonce, int timeout_ms) {
     return false;
   }
   return decode_ping(frame.payload) == nonce;
-}
-
-void record_merged_spans(const TracedRequest& traced,
-                         const ServerTimings& timings,
-                         std::uint64_t received_ns) {
-  if (!obs::trace_enabled()) return;
-  // The client request span, on the local process row. Its flow arrow
-  // (id = trace id) lands on the server's evaluate span.
-  obs::TraceEvent request_span;
-  request_span.name = "svc.client.request";
-  request_span.tid = util::thread_ordinal();
-  request_span.start_ns = traced.sent_ns;
-  request_span.duration_ns =
-      received_ns > traced.sent_ns ? received_ns - traced.sent_ns : 0;
-  request_span.trace_id = traced.trace_id;
-  request_span.span_id = traced.span_id;
-  request_span.flow_out = traced.trace_id;
-  obs::trace_record_event(request_span);
-
-  // The server's stage spans, reconstructed from the response trailer on
-  // the remote-process row. The two clocks are unrelated, so the stages
-  // are laid back-to-back and centered inside the client span (the
-  // remaining slack is symmetric transport time) — an approximation that
-  // preserves every duration exactly.
-  const std::uint64_t server_total = timings.decode_ns + timings.queue_ns +
-                                     timings.eval_ns + timings.encode_ns;
-  std::uint64_t offset = 0;
-  if (request_span.duration_ns > server_total) {
-    offset = (request_span.duration_ns - server_total) / 2;
-  }
-  std::uint64_t cursor = traced.sent_ns + offset;
-  const auto stage = [&](const char* name, std::uint64_t duration_ns,
-                         bool is_evaluate) {
-    obs::TraceEvent event;
-    event.name = name;
-    event.pid = obs::kRemotePid;
-    event.tid = 0;
-    event.start_ns = cursor;
-    event.duration_ns = duration_ns;
-    event.trace_id = timings.trace_id;
-    event.span_id = timings.server_span_id;
-    if (is_evaluate) event.flow_in = traced.trace_id;
-    obs::trace_record_event(event);
-    cursor += duration_ns;
-  };
-  stage("svc.server.decode", timings.decode_ns, false);
-  stage("svc.server.queue", timings.queue_ns, false);
-  stage("svc.server.evaluate", timings.eval_ns, true);
-  stage("svc.server.encode", timings.encode_ns, false);
 }
 
 std::string Client::stats_json(bool include_flight, int timeout_ms) {

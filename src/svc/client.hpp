@@ -39,28 +39,12 @@ std::uint32_t retry_backoff_ms(std::uint32_t hint_ms,
                                std::uint64_t request_id, int attempt = 0);
 
 /// Client-side bookkeeping of one traced request: when it went on the wire
-/// and the ids it carried. Shared by svc::Client and svc::ClientPool.
+/// and the ids it carried.
 struct TracedRequest {
   std::uint64_t sent_ns = 0;
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;  ///< the client request span's id
 };
-
-/// A fresh trace for `request`, stamped with the current time, when span
-/// collection is on (obs::trace_enabled()), the server announced minor >= 1
-/// and the request carries no trace context yet; nullopt otherwise. The
-/// caller attaches TraceContext{trace_id, span_id} before sending. Ids come
-/// from an atomic counter, never util::Rng.
-std::optional<TracedRequest> new_trace(const EvalRequest& request,
-                                       std::uint32_t server_minor);
-
-/// Records the merged client+server spans of one traced reply: the client
-/// request span on this thread's row, and the server's stage spans,
-/// rebuilt from the reply trailer, on the remote-process row, linked by a
-/// flow event.
-void record_merged_spans(const TracedRequest& traced,
-                         const ServerTimings& timings,
-                         std::uint64_t received_ns);
 
 /// One reply to an EvalRequest, whichever of the three shapes it took.
 struct Reply {
@@ -81,6 +65,12 @@ class Client {
 
   bool connected() const { return fd_.valid(); }
   void close() { fd_.reset(); }
+
+  /// Shuts the connection down without closing its descriptor
+  /// (shutdown(2)): a call blocked on it in another thread fails at once
+  /// with a connection-lost error. Safe while another thread is mid-call
+  /// on this client, but not while one closes or reconnects it.
+  void shutdown();
 
   /// Minor protocol revision the server announced in HelloOk (0 for a
   /// version-1.0 server, which supports neither stats nor trace context).

@@ -7,23 +7,26 @@
 //
 // svc::ClientPool — the distributed-campaign client: shards evaluation
 // requests across a fleet of intooa-served endpoints and keeps up to a
-// configured number of requests pipelined on each connection, matching
-// out-of-order responses to callers by request id.
+// configured number of svc::Client connections open to each.
 //
-// One worker thread per endpoint owns that endpoint's socket exclusively;
-// callers enqueue a pending entry, signal the endpoint's wake eventfd, and
-// block until the worker resolves that entry (only its own caller wakes).
-// The worker polls the eventfd beside the socket, so a request enqueued
-// while others are in flight goes on the wire at once. The worker
-// transparently re-dials a lost connection with exponential
-// backoff (deterministically jittered — never util::Rng, which would
-// perturb result streams) and replays every request that was in flight
-// when the connection died or the server answered Error(draining). Busy
-// replies are retried on the same connection after the server's hinted
-// backoff. After a run of consecutive connect failures the endpoint is
-// marked down: its pending requests fail (evaluate() returns nullopt) and
-// callers fail fast while the worker keeps probing in the background, so
-// a restarted server is picked back up automatically.
+// Every caller makes its own round trip: evaluate() checks out an idle
+// connection to its endpoint (dialing one while fewer than max_inflight
+// are open, else waiting for one to come back), sends the request and
+// reads the reply on the calling thread, and returns the connection. So
+// svc::Client is the only code that writes an EvalRequest and reads its
+// reply, and a request costs no thread hand-off.
+//
+// A connection that is lost, or answered Error(draining) or a
+// connection-level error, is closed and the request is resent on another
+// one. A failed dial is retried after an exponential backoff
+// (deterministically jittered — never util::Rng, which would perturb
+// result streams); dials to one endpoint run one at a time. Busy replies
+// are retried after the server's hinted backoff. After a run of
+// consecutive dial failures the endpoint is marked down: callers fail fast
+// (evaluate() returns nullopt), and the first caller after each backoff
+// probes the endpoint once, so a restarted server is picked back up. A
+// dial has no connect timeout: probing a blackholed TCP host stalls the
+// caller that dials it.
 //
 // Failure is always soft: evaluate() returns nullopt, never throws, and
 // the caller (core::TopologyEvaluator via svc::RemoteBackend) falls back
@@ -31,24 +34,23 @@
 // the fallback bytes equal the served bytes, so campaign outputs are
 // byte-identical at any inflight depth, shard count, or failure pattern.
 //
-// Tracing: when span collection is on and the endpoint's server announced
-// minor >= 1, each request carries a TraceContext (one the caller set is
-// kept), and the caller records the merged client+server spans from the
-// reply trailer (svc::record_merged_spans), as svc::Client does.
+// Tracing: svc::Client attaches a TraceContext when span collection is on
+// and the server announced minor >= 1 (a caller's own context is kept, and
+// stripped for a 1.0 server), and records the merged client+server spans
+// from the reply trailer.
 //
 // Live metrics: svc.pool.inflight (gauge, requests on the wire across all
 // endpoints), svc.pool.reconnects, svc.pool.replays, svc.pool.busy, and
 // per-endpoint svc.pool.requests.<i> counters (docs/OBSERVABILITY.md).
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "svc/client.hpp"
@@ -63,11 +65,11 @@ namespace intooa::svc {
 
 /// Tuning knobs; the defaults match the campaign runner's flags.
 struct ClientPoolConfig {
-  /// Max requests awaiting a reply on one connection at any moment
-  /// (--remote-inflight). Further requests queue client-side.
+  /// Max connections open to one endpoint, and so max requests in flight
+  /// to it (--remote-inflight). Further callers wait for a connection.
   std::size_t max_inflight = 4;
-  /// Consecutive connect failures before an endpoint is marked down and
-  /// its callers fail fast (the worker keeps probing at the backoff cap).
+  /// Consecutive dial failures before an endpoint is marked down and its
+  /// callers fail fast (one caller probes it after each backoff).
   int max_connect_attempts = 5;
   /// Reconnect backoff: base doubling up to the cap, ±25% deterministic
   /// jitter per (endpoint, attempt).
@@ -79,8 +81,10 @@ struct ClientPoolConfig {
 struct EndpointStats {
   std::string address;
   std::uint64_t requests = 0;    ///< EvalRequests put on the wire
-  std::uint64_t reconnects = 0;  ///< connections established after the first
-  std::uint64_t replays = 0;     ///< in-flight requests resent after a loss
+  std::uint64_t reconnects = 0;  ///< dials that worked after a loss or a
+                                 ///< failed dial
+  std::uint64_t replays = 0;     ///< requests resent after a lost
+                                 ///< connection or a drain
   std::uint64_t busy = 0;        ///< Busy replies absorbed
   bool down = false;             ///< currently failing fast
 };
@@ -96,8 +100,7 @@ struct ClientPoolStats {
 
 class ClientPool {
  public:
-  /// Spins up one worker (and one eventual connection) per endpoint.
-  /// Connections are dialed lazily by the workers; construction never
+  /// Connections are dialed lazily by the callers; construction never
   /// blocks on the network. Throws std::invalid_argument when `endpoints`
   /// is empty or max_inflight is 0.
   ClientPool(std::vector<Address> endpoints, ClientPoolConfig config = {});
@@ -126,37 +129,30 @@ class ClientPool {
   /// Consistent snapshot of per-endpoint accounting.
   ClientPoolStats stats() const;
 
-  /// Stops the workers, closes every connection and fails all pending
-  /// requests. Idempotent; the destructor calls it.
+  /// Closes every connection: a caller mid-request, waiting for a
+  /// connection or backing off returns nullopt, and so does every later
+  /// call. Idempotent; the destructor calls it. A caller dialing finishes
+  /// its handshake first (bounded by kMidFrameGraceMs).
   void close();
 
  private:
-  /// One enqueued request; shared between the caller (waiting) and the
-  /// endpoint worker (resolving). All fields are guarded by the owning
-  /// endpoint's mutex.
-  struct Pending {
-    EvalRequest request;
-    bool sent = false;             ///< on the wire, awaiting a reply
-    int busy_attempts = 0;         ///< Busy replies absorbed so far
-    std::uint64_t not_before_ns = 0;  ///< Busy backoff gate (monotonic)
-    bool done = false;
-    bool failed = false;
-    EvalResponse response;  ///< valid when done
-    /// The trace this pool attached, re-stamped at every send.
-    std::optional<TracedRequest> traced;
-    std::uint64_t received_ns = 0;  ///< reply arrival, when traced
-    /// Worker -> this caller: resolved, failed, or the pool stopped.
-    std::condition_variable resolved;
-  };
+  using Clock = std::chrono::steady_clock;
 
   struct Endpoint {
     Address address;
     std::size_t index = 0;
     mutable std::mutex mutex;
-    /// Caller -> worker: new work or stop. An eventfd the worker polls
-    /// beside its socket.
-    Fd wake;
-    std::map<std::uint64_t, std::shared_ptr<Pending>> pending;
+    /// A connection came back or closed, a dial ended, or the pool stopped.
+    std::condition_variable changed;
+    std::vector<std::unique_ptr<Client>> idle;
+    /// Every dialed connection, idle or checked out; close() shuts each
+    /// down. A connection leaves this list before it is destroyed.
+    std::vector<Client*> open;
+    bool dialing = false;      ///< dials run one at a time
+    int failures = 0;          ///< consecutive failed dials
+    Clock::time_point retry_at{};  ///< no dial before this
+    bool lost = false;  ///< a connection or dial failed since the last dial
+                        ///< that worked
     bool down = false;
     bool stop = false;
     std::uint64_t requests = 0;
@@ -164,32 +160,29 @@ class ClientPool {
     std::uint64_t replays = 0;
     std::uint64_t busy = 0;
     obs::Counter* requests_metric = nullptr;  ///< svc.pool.requests.<index>
-    std::thread thread;
   };
 
-  enum class ServeEnd { Stop, Lost };
-
-  void run_endpoint(Endpoint& ep);
-  /// Pipelines requests on an established connection until it is lost or
-  /// the pool stops. `server_minor` is the minor revision the server
-  /// announced in its HelloOk.
-  ServeEnd serve(Endpoint& ep, int fd, std::uint32_t server_minor);
-  /// Dials + handshakes; returns an invalid Fd on any failure, else sets
-  /// `server_minor`.
-  Fd dial(const Address& address, std::uint32_t& server_minor);
-  /// Sleeps `ms` on the wake eventfd; true when the pool stopped meanwhile.
-  bool sleep_unless_stopped(Endpoint& ep, std::uint32_t ms);
-  /// Marks every sent-unanswered request for resend (counting replays) so
-  /// the next connection replays it. Called with the connection dead.
-  void mark_for_replay(Endpoint& ep);
-  /// Fails every pending request and wakes its caller.
-  void fail_all(Endpoint& ep);
+  /// A connection for one request (counted in `requests`): an idle one,
+  /// else a new one while fewer than max_inflight are open, else the next
+  /// one to come back. Null when the endpoint is down or the pool stopped.
+  std::unique_ptr<Client> checkout(Endpoint& ep);
+  /// Dials and handshakes with `lock` released; null on failure (which
+  /// sets the backoff and maybe marks the endpoint down) or a stop.
+  std::unique_ptr<Client> dial(Endpoint& ep,
+                               std::unique_lock<std::mutex>& lock);
+  /// Hands a healthy connection to the next caller (closes it once the
+  /// pool stopped).
+  void checkin(Endpoint& ep, std::unique_ptr<Client> conn);
+  /// Closes a connection that failed mid-request; true when the request is
+  /// to be resent (counted as a replay), false once the pool stopped.
+  bool drop(Endpoint& ep, std::unique_ptr<Client> conn);
+  /// Counts a Busy reply and waits `ms`; false when the pool stopped.
+  bool back_off_busy(Endpoint& ep, std::uint32_t ms);
 
   ClientPoolConfig config_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::int64_t> total_inflight_{0};
-  std::atomic<bool> closed_{false};
 };
 
 }  // namespace intooa::svc

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "circuit/rules.hpp"
 #include "core/eval_key.hpp"
@@ -351,7 +352,7 @@ bool Server::answer_from_memory(Admitted& admitted,
   admitted.flight.key_digest = key.digest;
   admitted.flight.queue_ns = eval_start - admitted.admitted_at_ns;
   reply(admitted, eval_start, std::move(response));
-  release(*admitted.conn);
+  release_pending(*admitted.conn);
   return true;
 }
 
@@ -365,15 +366,17 @@ void Server::process_request(Admitted& admitted, std::string_view config) {
           serve_request(request, config, flight.key_digest));
   } catch (const std::invalid_argument& e) {
     flight.eval_ns = obs::detail::monotonic_ns() - eval_start;
+    release_slot(admitted);
     admitted.conn->send_error(request.request_id,
                               ErrorCode::MalformedRequest, e.what());
   } catch (const std::exception& e) {
     flight.eval_ns = obs::detail::monotonic_ns() - eval_start;
+    release_slot(admitted);
     admitted.conn->send_error(request.request_id, ErrorCode::Internal,
                               e.what());
   }
   record_flight(admitted);  // error paths record too (with ok still false)
-  release(*admitted.conn);
+  release_pending(*admitted.conn);
 }
 
 void Server::reply(Admitted& admitted, std::uint64_t eval_start_ns,
@@ -409,6 +412,7 @@ void Server::reply(Admitted& admitted, std::uint64_t eval_start_ns,
   // Recorded BEFORE the response hits the wire, so a client that requests
   // stats right after its reply is guaranteed to see this request.
   record_flight(admitted);
+  release_slot(admitted);
   admitted.conn->send(MsgType::EvalResponse, payload);
 }
 
@@ -423,16 +427,19 @@ void Server::record_flight(Admitted& admitted) {
   write_access_log(flight);
 }
 
-void Server::release(Connection& conn) {
-  // The connection's closer may be waiting on the pending count.
+void Server::release_slot(Admitted& admitted) {
+  if (!std::exchange(admitted.holds_slot, false)) return;
+  const std::size_t now =
+      inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
+  inflight_gauge().set(static_cast<double>(now));
+}
+
+void Server::release_pending(Connection& conn) {
   {
     std::lock_guard<std::mutex> lock(conn.pending_mutex);
     --conn.pending;
   }
   conn.pending_cv.notify_all();
-  const std::size_t now =
-      inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  inflight_gauge().set(static_cast<double>(now));
 }
 
 Server::Shard* Server::find_shard(std::string_view config) {

@@ -143,14 +143,16 @@ class Server {
   /// in-progress dedup).
   struct Shard;
 
-  /// An admitted EvalRequest. It holds one in-flight slot and one pending
-  /// response on its connection until release().
+  /// An admitted EvalRequest. It holds one in-flight slot until
+  /// release_slot(), just before its reply is sent, and one pending
+  /// response on its connection until release_pending(), just after.
   struct Admitted {
     std::shared_ptr<Connection> conn;
     EvalRequest request;
     std::uint64_t admitted_at_ns = 0;
     std::uint64_t server_span_id = 0;  ///< 0 when the request is untraced
     FlightRecord flight;               ///< filled in as it is served
+    bool holds_slot = true;
   };
 
   void handle_connection(Fd fd, std::string peer);
@@ -164,13 +166,19 @@ class Server {
   /// Pool task: serves `admitted` through every tier, replies (or sends
   /// the error), and releases it.
   void process_request(Admitted& admitted, std::string_view config);
-  /// Times, encodes and sends an Ok reply, recording its flight first.
+  /// Times, encodes and sends an Ok reply, recording its flight and
+  /// returning its slot first.
   void reply(Admitted& admitted, std::uint64_t eval_start_ns,
              EvalResponse response);
   /// Publishes the flight record and the latency sample; once per request.
   void record_flight(Admitted& admitted);
-  /// Returns the in-flight slot and the connection's pending count.
-  void release(Connection& conn);
+  /// Returns the in-flight slot (once). Called before the reply is sent, so
+  /// a client that sends its next request on reading a reply finds the
+  /// slot free.
+  void release_slot(Admitted& admitted);
+  /// Drops the connection's pending count once the reply is written (the
+  /// connection's closer waits on it: the drain guarantee).
+  void release_pending(Connection& conn);
   /// Serves one evaluation through the cache tiers and reports the
   /// evaluation key digest (for the flight recorder). Throws
   /// std::invalid_argument on a malformed request, and on internal failure.

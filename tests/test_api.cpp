@@ -369,6 +369,47 @@ TEST(ApiSession, EvaluationMatchesInProcessBytes) {
             keys.key_for(circuit::Topology::from_index(3)).digest);
 }
 
+TEST(ApiSession, CachedShardDigestEqualsTheStaticOneAcrossConfigurations) {
+  // The digest is computed client-side: no endpoint is ever dialed.
+  api::Session session(api::SessionConfig{});
+  std::vector<svc::EvalRequest> configs = {tiny_request(0, "S-1"),
+                                           tiny_request(0, "S-2"),
+                                           tiny_request(0, "S-1")};
+  configs[2].sizing.iterations += 1;  // same spec, another sizing protocol
+  const std::uint64_t topologies[] = {0, 7, 1234, 30624};
+  std::vector<std::vector<std::uint64_t>> digests(
+      configs.size(), std::vector<std::uint64_t>(std::size(topologies)));
+  // Configurations interleave request by request; neither the request id
+  // nor a trace context is part of the configuration.
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (std::size_t t = 0; t < std::size(topologies); ++t) {
+      for (std::size_t c = 0; c < configs.size(); ++c) {
+        svc::EvalRequest request = configs[c];
+        request.topology_index = topologies[t];
+        request.request_id = round * 100 + t;
+        if (round == 1) request.trace = svc::TraceContext{7, 9};
+        const auto cached = session.evaluations().cached_shard_digest(request);
+        const auto fresh = api::Evaluations::shard_digest(request);
+        ASSERT_TRUE(cached.ok()) << cached.error().message;
+        ASSERT_TRUE(fresh.ok()) << fresh.error().message;
+        EXPECT_EQ(cached.value(), fresh.value()) << c << " " << t;
+        digests[c][t] = cached.value();
+      }
+    }
+  }
+  for (std::size_t t = 0; t < std::size(topologies); ++t) {
+    EXPECT_NE(digests[0][t], digests[1][t]) << t;
+    EXPECT_NE(digests[0][t], digests[2][t]) << t;
+  }
+  // An out-of-range topology is the same error either way.
+  const svc::EvalRequest bad = tiny_request(30625);
+  const auto cached = session.evaluations().cached_shard_digest(bad);
+  const auto fresh = api::Evaluations::shard_digest(bad);
+  ASSERT_FALSE(cached.ok());
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(cached.error().code, fresh.error().code);
+}
+
 TEST(ApiSession, ConcurrentFirstEvaluationsShareOnePool) {
   // The gateway calls evaluations() from concurrent connection-handler
   // threads without an external lock; the very first calls race to build

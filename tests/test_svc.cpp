@@ -642,17 +642,6 @@ void warm(const svc::Address& address, const svc::EvalRequest& request) {
   ASSERT_EQ(reply.response.served_from, svc::ServedFrom::Computed);
 }
 
-/// Waits until every in-flight slot is released: a reply is sent just
-/// before its slot is returned. Reads the svc.inflight gauge, so telemetry
-/// must be on.
-void wait_for_free_slots() {
-  const obs::Gauge& inflight = obs::registry().gauge("svc.inflight");
-  for (int i = 0; i < 10'000 && inflight.value() != 0.0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(inflight.value(), 0.0);
-}
-
 TEST(SvcServer, MemoryHitIsAnsweredAheadOfAHeldComputation) {
   svc::ServerConfig config = base_config(fresh_unix("svc-hit-first"));
   config.threads = 1;
@@ -687,7 +676,6 @@ TEST(SvcServer, MemoryHitStillTakesAnInflightSlot) {
   TestServer ts(std::move(config));
   const svc::Address& address = ts.server.config().address;
   warm(address, tiny_request(1, 22));
-  wait_for_free_slots();
 
   svc::Client client;
   client.connect(address);
@@ -699,11 +687,47 @@ TEST(SvcServer, MemoryHitStillTakesAnInflightSlot) {
   const svc::Reply second = client.read_reply(30'000);
   ASSERT_EQ(second.kind, svc::Reply::Kind::Ok);
   EXPECT_EQ(second.response.request_id, 2u);
-  // With the slot back, the hit is served from memory.
-  wait_for_free_slots();
+  // The slot is back before its reply is sent: the hit is served from
+  // memory at once.
   const svc::Reply retried = client.evaluate(tiny_request(4, 22), 30'000);
   ASSERT_EQ(retried.kind, svc::Reply::Kind::Ok);
   EXPECT_EQ(retried.response.served_from, svc::ServedFrom::Memory);
+}
+
+// A reply returns its in-flight slot before it is written, so a client
+// that sends its next request on reading a reply never finds the slot
+// still taken. The replies must come from a pool thread: a memory hit is
+// answered by the same connection thread that reads the next request.
+TEST(SvcServer, ClosedLoopClientAtMaxInflightNeverSeesBusy) {
+  const std::string store_path = temp_path(
+      "intooa-svc-closed-loop-" + std::to_string(::getpid()) + ".bin");
+  std::filesystem::remove(store_path);
+  {
+    svc::ServerConfig config = base_config(fresh_unix("svc-closed-loop"));
+    config.max_inflight = 1;
+    config.store = store::EvalStore::open(store_path);
+    // One cached entry: two alternating keys always miss memory and are
+    // answered from the store tier, on a pool thread.
+    config.mem_cache_bytes = 1;
+    TestServer ts(std::move(config));
+    svc::Client client;
+    client.connect(ts.server.config().address);
+    int busy = 0;
+    for (std::uint64_t id = 1; id <= 3000; ++id) {
+      const svc::Reply reply =
+          client.evaluate(tiny_request(id, 24 + id % 2), 30'000);
+      if (reply.kind == svc::Reply::Kind::Busy) {
+        ++busy;
+        continue;
+      }
+      ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok) << id;
+      if (id > 2) {
+        EXPECT_EQ(reply.response.served_from, svc::ServedFrom::Store) << id;
+      }
+    }
+    EXPECT_EQ(busy, 0);
+  }
+  std::filesystem::remove(store_path);
 }
 
 TEST(SvcServer, StatsAreAnsweredWhileAMissComputes) {
@@ -1285,9 +1309,9 @@ TEST(SvcClientPool, ReconnectsAndReplaysAcrossServerRestart) {
   EXPECT_FALSE(stats.endpoints[0].down);
 }
 
-// Regression: the endpoint worker used to block in a 20 ms read slice
-// while any reply was outstanding, so a request enqueued meanwhile waited
-// for an unrelated reply or the slice's end before it was sent.
+// A caller never waits on another caller's outstanding reply: while one
+// connection is held by a computation, the next caller gets a connection
+// of its own and its memory hits come straight back.
 TEST(SvcClientPool, RequestsEnqueuedBehindAnOutstandingReplyAreSentAtOnce) {
   svc::ServerConfig server_config = base_config(fresh_unix("pool-wake"));
   server_config.threads = 2;
@@ -1422,6 +1446,120 @@ TEST(SvcClientPool, UnreachableEndpointFailsSoftAndFast) {
                               std::chrono::steady_clock::now() - start)
                               .count();
   EXPECT_LT(elapsed_ms, 500);
+}
+
+TEST(SvcClientPool, SequentialCallerReusesOneConnection) {
+  const CounterDeltas delta;
+  TestServer ts(base_config(fresh_unix("pool-reuse")));
+  svc::ClientPool pool({ts.server.config().address});
+  for (int i = 0; i < 10; ++i) {
+    const auto request =
+        tiny_request(0, static_cast<std::uint64_t>(240 + i % 2));
+    const auto response = pool.evaluate(request, 0);
+    ASSERT_TRUE(response.has_value()) << i;
+    EXPECT_EQ(response->record_payload, evaluate_in_process(request)) << i;
+  }
+  EXPECT_EQ(ts.server.connection_thread_count(), 1u);
+  EXPECT_EQ(delta("svc.connections"), 1u);
+  EXPECT_EQ(pool.stats().requests(), 10u);
+}
+
+TEST(SvcClientPool, NeverOpensMoreThanMaxInflightConnections) {
+  const CounterDeltas delta;
+  svc::ServerConfig server_config = base_config(fresh_unix("pool-cap"));
+  server_config.test_eval_delay_ms = 20;
+  TestServer ts(std::move(server_config));
+  svc::ClientPoolConfig config;
+  config.max_inflight = 2;
+  svc::ClientPool pool({ts.server.config().address}, config);
+
+  constexpr int kCallers = 8;
+  std::atomic<bool> done{false};
+  std::size_t most_open = 0;
+  std::thread monitor([&] {
+    while (!done.load()) {
+      most_open = std::max(most_open, ts.server.connection_thread_count());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<std::optional<svc::EvalResponse>> responses(kCallers);
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&pool, &responses, i] {
+      responses[static_cast<std::size_t>(i)] = pool.evaluate(
+          tiny_request(0, static_cast<std::uint64_t>(250 + i)), 0);
+    });
+  }
+  for (auto& t : callers) t.join();
+  done = true;
+  monitor.join();
+
+  for (int i = 0; i < kCallers; ++i) {
+    ASSERT_TRUE(responses[static_cast<std::size_t>(i)].has_value()) << i;
+    EXPECT_EQ(responses[static_cast<std::size_t>(i)]->record_payload,
+              evaluate_in_process(
+                  tiny_request(0, static_cast<std::uint64_t>(250 + i))))
+        << i;
+  }
+  EXPECT_LE(most_open, 2u);
+  EXPECT_EQ(delta("svc.connections"), 2u);
+  EXPECT_EQ(pool.stats().requests(), static_cast<std::uint64_t>(kCallers));
+}
+
+TEST(SvcClientPool, CloseUnblocksACallerWaitingOnItsReply) {
+  svc::ServerConfig server_config = base_config(fresh_unix("pool-close"));
+  server_config.test_eval_delay_ms = 2000;
+  TestServer ts(std::move(server_config));
+  svc::ClientPool pool({ts.server.config().address});
+
+  std::optional<svc::EvalResponse> response;
+  std::thread caller(
+      [&] { response = pool.evaluate(tiny_request(0, 260), 0); });
+  for (int i = 0; i < 1000 && pool.stats().requests() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(pool.stats().requests(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // reading
+  const auto start = std::chrono::steady_clock::now();
+  pool.close();
+  caller.join();
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_LT(elapsed_ms, 500);
+  EXPECT_FALSE(response.has_value());
+  EXPECT_FALSE(pool.evaluate(tiny_request(0, 261), 0).has_value());
+  EXPECT_EQ(pool.stats().replays(), 0u);
+}
+
+TEST(SvcClientPool, ConcurrentCallersOnOneHotKeyGetIdenticalBytes) {
+  TestServer ts(base_config(fresh_unix("pool-hot")));
+  svc::ClientPool pool({ts.server.config().address});
+  const svc::EvalRequest request = tiny_request(0, 270);
+  const std::string expected = evaluate_in_process(request);
+
+  constexpr int kCallers = 3;
+  constexpr int kRequests = 100;
+  std::vector<int> wrong(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int i = 0; i < kRequests; ++i) {
+        const auto response = pool.evaluate(request, 0);
+        if (!response || response->record_payload != expected) {
+          ++wrong[static_cast<std::size_t>(c)];
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(wrong[static_cast<std::size_t>(c)], 0) << c;
+  }
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.requests(),
+            static_cast<std::uint64_t>(kCallers * kRequests));
+  EXPECT_EQ(stats.replays(), 0u);
 }
 
 // ---- evaluator remote tier ------------------------------------------------
