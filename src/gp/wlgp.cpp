@@ -384,7 +384,15 @@ std::vector<Prediction> WlGp::predict_pool(
     const std::size_t c0 = k * kPoolChunk;
     const std::size_t w = std::min(kPoolChunk, pool.size() - c0);
     thread_local PoolScratch scratch;
-    if (scratch.dense.size() < labels) scratch.dense.resize(labels, 0.0);
+    if (scratch.dense.size() < labels) {
+      // The label count grows a little with every scored pool. A quarter
+      // of headroom keeps regrowth rare without resize()'s doubling, which
+      // can hold twice the labels.
+      if (scratch.dense.capacity() < labels) {
+        scratch.dense.reserve(labels + labels / 4);
+      }
+      scratch.dense.resize(labels, 0.0);
+    }
     double* dense = scratch.dense.data();
     scratch.raw.resize(set_row.back() * w);
     scratch.self.assign(sets.size() * w, 0.0);

@@ -2,8 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace intooa::graph {
+
+SparseVec::SparseVec(std::vector<std::pair<std::size_t, double>> entries)
+    : entries_(std::move(entries)) {
+  const auto unsorted = std::adjacent_find(
+      entries_.begin(), entries_.end(),
+      [](const auto& a, const auto& b) { return a.first >= b.first; });
+  if (unsorted != entries_.end()) {
+    throw std::invalid_argument("SparseVec: indices not strictly ascending");
+  }
+}
 
 void SparseVec::add(std::size_t index, double delta) {
   auto it = std::lower_bound(

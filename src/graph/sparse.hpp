@@ -17,6 +17,11 @@ class SparseVec {
  public:
   SparseVec() = default;
 
+  /// Takes `entries` as they are, at their final size, where add() would
+  /// grow the vector one entry at a time. Indices must be strictly
+  /// ascending; throws std::invalid_argument otherwise.
+  explicit SparseVec(std::vector<std::pair<std::size_t, double>> entries);
+
   /// Adds `delta` at `index` (creates the entry if absent; entries that
   /// become zero are kept — counts never go negative in WL usage).
   void add(std::size_t index, double delta);

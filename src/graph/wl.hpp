@@ -32,7 +32,8 @@ namespace intooa::graph {
 class WlFeaturizer {
  public:
   /// `max_h` bounds the iteration depth accepted by `features` (the paper
-  /// notes h <= 6 suffices for these 13-node circuit graphs).
+  /// notes h <= 6 suffices for these 13-node circuit graphs). Depths are
+  /// stored in a byte, so max_h must be 0..255.
   explicit WlFeaturizer(int max_h = 6);
 
   /// Extracts the WL feature vector of `g` with `h` refinement iterations:
@@ -80,12 +81,12 @@ class WlFeaturizer {
   // Per label id: its depth, and its definition arena_[begin_[id]] ..
   // arena_[begin_[id + 1]] — (own, neighbours...) at depth >= 1, the index
   // into root_text_ at depth 0.
-  std::vector<int> depth_;
+  std::vector<std::uint8_t> depth_;
   std::vector<std::uint32_t> begin_ = {0};
   std::vector<std::uint32_t> arena_;
   // Open-addressing (linear probing) index over the depth >= 1 labels: per
   // occupied slot the tuple's hash and id + 1, 0 when empty; the size is a
-  // power of two, at most half full.
+  // power of two, at most three quarters full.
   std::vector<std::uint64_t> slots_;
   // Depth-0 labels, keyed by their text.
   std::unordered_map<std::string, std::uint32_t> root_ids_;

@@ -17,6 +17,10 @@
 namespace intooa::la {
 
 /// A = L L^T factorization of a symmetric positive-definite real matrix.
+///
+/// L is stored as a packed row-major lower triangle: row i holds
+/// L(i, 0..i) and starts at i (i + 1) / 2, so bordering by one more row
+/// (append_row) writes one more packed row in place.
 class Cholesky {
  public:
   /// Factorizes `a`. If the bare factorization fails, retries with
@@ -39,15 +43,17 @@ class Cholesky {
   /// some SPD matrix to n+1, given the new row `row` of that matrix
   /// (row.size() == order() + 1, row.back() is the diagonal entry). Costs
   /// one forward substitution — O(n^2) instead of the O(n^3) refactorization
-  /// — and produces bit-identical L to factorizing the bordered matrix from
-  /// scratch. The jitter of the existing factorization is applied to the
-  /// new diagonal entry so the implied matrix stays A + jitter * I. Throws
-  /// SingularMatrixError (leaving the factorization unchanged) when the
-  /// bordered matrix is not positive definite; there is no jitter
-  /// escalation on this path.
+  /// — and produces bit-identical L and log_det() to factorizing the
+  /// bordered matrix from scratch. The new row is written after the packed
+  /// triangle, whose storage grows with a quarter of headroom, so no append
+  /// copies L unless that headroom is used up. The jitter of the existing
+  /// factorization is applied to the new diagonal entry so the implied
+  /// matrix stays A + jitter * I. Throws SingularMatrixError (leaving the
+  /// factorization unchanged) when the bordered matrix is not positive
+  /// definite; there is no jitter escalation on this path.
   void append_row(std::span<const double> row);
 
-  std::size_t order() const { return l_.rows(); }
+  std::size_t order() const { return order_; }
 
   /// The diagonal jitter that was added to make the factorization succeed
   /// (0 when none was needed).
@@ -77,18 +83,23 @@ class Cholesky {
   void solve_lower_in_place(std::span<double> b, std::size_t cols) const;
 
   /// log |A| = 2 sum_i log L_ii — needed by the GP marginal likelihood.
-  double log_det() const;
+  /// The sum is kept as rows are added, in row order, so this costs nothing
+  /// and equals the sum taken over a from-scratch factor.
+  double log_det() const { return 2.0 * log_diag_sum_; }
 
-  /// The lower-triangular factor.
-  const MatrixD& lower() const { return l_; }
+  /// The lower-triangular factor as a dense matrix (zero above the
+  /// diagonal), expanded from the packed triangle on each call.
+  MatrixD lower() const;
 
  private:
   Cholesky() = default;  // for try_exact
 
   bool try_factorize(const MatrixD& a, double jitter);
 
-  MatrixD l_;
+  std::vector<double> l_;  // packed row-major lower triangle
+  std::size_t order_ = 0;
   double jitter_ = 0.0;
+  double log_diag_sum_ = 0.0;  // sum of log L_ii over rows 0..order_-1
 };
 
 }  // namespace intooa::la

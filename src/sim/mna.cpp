@@ -156,6 +156,7 @@ std::vector<std::complex<double>> AcSolver::solve_current(
 }
 
 std::vector<std::complex<double>> AcSolver::poles() const {
+  INTOOA_SPAN("sim.poles");
   return la::natural_frequencies(g_, c_);
 }
 

@@ -24,9 +24,9 @@
 // are retried after the server's hinted backoff. After a run of
 // consecutive dial failures the endpoint is marked down: callers fail fast
 // (evaluate() returns nullopt), and the first caller after each backoff
-// probes the endpoint once, so a restarted server is picked back up. A
-// dial has no connect timeout: probing a blackholed TCP host stalls the
-// caller that dials it.
+// probes the endpoint once, so a restarted server is picked back up. A TCP
+// dial gives up after svc::kConnectTimeoutMs, so probing a blackholed host
+// stalls its caller for at most that long.
 //
 // Failure is always soft: evaluate() returns nullopt, never throws, and
 // the caller (core::TopologyEvaluator via svc::RemoteBackend) falls back

@@ -1,6 +1,7 @@
 #include "svc/socket.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -46,15 +47,15 @@ std::int64_t monotonic_now_ns() {
   return static_cast<std::int64_t>(now.tv_sec) * 1'000'000'000 + now.tv_nsec;
 }
 
-/// poll() for readability, riding out EINTR. timeout_ms < 0 = forever.
+/// poll() for `events`, riding out EINTR. timeout_ms < 0 = forever.
 /// Returns false on timeout. The deadline is computed once up front and
 /// each re-poll after EINTR uses only the remaining time — a stream of
 /// signals must never extend the timeout (a signal-heavy process would
 /// otherwise keep a dead-idle connection open without bound).
-bool wait_readable(int fd, int timeout_ms) {
+bool wait_ready(int fd, short events, int timeout_ms) {
   struct pollfd p{};
   p.fd = fd;
-  p.events = POLLIN;
+  p.events = events;
   if (timeout_ms < 0) {
     for (;;) {
       const int got = ::poll(&p, 1, -1);
@@ -78,6 +79,44 @@ bool wait_readable(int fd, int timeout_ms) {
   }
 }
 
+/// Dials one resolved TCP address: a non-blocking connect(), then up to
+/// timeout_ms for the handshake to finish. Returns the connected socket,
+/// back in blocking mode, or an invalid Fd with the failure's errno in
+/// `error` (ETIMEDOUT when the bound ran out).
+Fd dial_tcp(const struct addrinfo& ai, int timeout_ms, int& error) {
+  Fd fd(::socket(ai.ai_family, ai.ai_socktype | SOCK_NONBLOCK,
+                 ai.ai_protocol));
+  if (!fd.valid()) {
+    error = errno;
+    return fd;
+  }
+  if (::connect(fd.get(), ai.ai_addr, ai.ai_addrlen) != 0) {
+    if (errno != EINPROGRESS) {
+      error = errno;
+      return Fd();
+    }
+    if (!wait_ready(fd.get(), POLLOUT, timeout_ms)) {
+      error = ETIMEDOUT;
+      return Fd();
+    }
+    int so_error = 0;
+    socklen_t len = sizeof so_error;
+    if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
+      so_error = errno;
+    }
+    if (so_error != 0) {
+      error = so_error;
+      return Fd();
+    }
+  }
+  const int flags = ::fcntl(fd.get(), F_GETFL);
+  if (flags < 0 || ::fcntl(fd.get(), F_SETFL, flags & ~O_NONBLOCK) != 0) {
+    error = errno;
+    return Fd();
+  }
+  return fd;
+}
+
 /// Reads exactly n bytes (blocking, poll-gated). Returns the byte count
 /// actually read: n on success, 0 on clean EOF before any byte, -1 on
 /// error/EOF-mid-buffer/timeout. `first_byte_timeout_ms` applies before the
@@ -87,7 +126,7 @@ ssize_t read_exact(int fd, char* out, std::size_t n,
   std::size_t got = 0;
   while (got < n) {
     const int timeout = got == 0 ? first_byte_timeout_ms : kMidFrameGraceMs;
-    if (!wait_readable(fd, timeout)) return got == 0 ? -2 : -1;
+    if (!wait_ready(fd, POLLIN, timeout)) return got == 0 ? -2 : -1;
     const ssize_t r = ::recv(fd, out + got, n - got, 0);
     if (r < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
@@ -191,7 +230,7 @@ Fd listen_on(const Address& address, int backlog) {
   return fd;
 }
 
-Fd connect_to(const Address& address) {
+Fd connect_to(const Address& address, int timeout_ms) {
   if (address.kind == Address::Kind::Unix) {
     Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
     if (!fd.valid()) fail_connect("svc: socket(AF_UNIX)");
@@ -217,20 +256,12 @@ Fd connect_to(const Address& address) {
                              ::gai_strerror(rc));
   }
   // A name can resolve to several addresses; try each in resolver order and
-  // only fail — with the last errno — once every candidate was refused.
+  // only fail — with the last errno — once every candidate failed.
   Fd fd;
   int last_errno = ECONNREFUSED;
   for (const struct addrinfo* ai = info; ai != nullptr; ai = ai->ai_next) {
-    Fd candidate(::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol));
-    if (!candidate.valid()) {
-      last_errno = errno;
-      continue;
-    }
-    if (::connect(candidate.get(), ai->ai_addr, ai->ai_addrlen) == 0) {
-      fd = std::move(candidate);
-      break;
-    }
-    last_errno = errno;
+    fd = dial_tcp(*ai, timeout_ms, last_errno);
+    if (fd.valid()) break;
   }
   ::freeaddrinfo(info);
   if (!fd.valid()) {

@@ -105,8 +105,16 @@ class Fd {
 /// file first; SO_REUSEADDR for tcp). Throws std::runtime_error on failure.
 Fd listen_on(const Address& address, int backlog = 64);
 
-/// Connects to `address`. Throws std::runtime_error on failure.
-Fd connect_to(const Address& address);
+/// Upper bound on one TCP dial. A host that drops SYNs (down, or
+/// blackholed by a firewall) fails the dial after this long instead of
+/// after the kernel's SYN retries, ~2 min with Linux defaults.
+inline constexpr int kConnectTimeoutMs = 5'000;
+
+/// Connects to `address`. A TCP dial is non-blocking and waits up to
+/// `timeout_ms` per resolved address for the handshake; the socket it
+/// returns is blocking. A Unix-domain dial is local and blocking. Throws
+/// TransportError(Connect) on failure, a dial past its bound included.
+Fd connect_to(const Address& address, int timeout_ms = kConnectTimeoutMs);
 
 /// Outcome of read_frame.
 enum class ReadStatus {

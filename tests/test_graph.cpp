@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit_graph.hpp"
@@ -146,6 +148,17 @@ TEST(SparseVec, Dot) {
   EXPECT_DOUBLE_EQ(dot(a, SparseVec()), 0.0);
 }
 
+TEST(SparseVec, TakesSortedEntriesAsTheyAre) {
+  SparseVec built;
+  built.add(7, 2.0);
+  built.add(2, 1.0);
+  using Entries = std::vector<std::pair<std::size_t, double>>;
+  EXPECT_EQ(SparseVec(Entries{{2, 1.0}, {7, 2.0}}), built);
+  EXPECT_EQ(SparseVec(Entries{}), SparseVec());
+  EXPECT_THROW(SparseVec(Entries{{7, 2.0}, {2, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(SparseVec(Entries{{2, 1.0}, {2, 1.0}}), std::invalid_argument);
+}
+
 TEST(Wl, DepthZeroCountsLabels) {
   WlFeaturizer feat(3);
   const auto phi = feat.features(path3(), 0);
@@ -265,6 +278,8 @@ TEST(Wl, DepthOutOfRangeThrows) {
   EXPECT_THROW(feat.features(path3(), 3), std::invalid_argument);
   EXPECT_THROW(feat.features(path3(), -1), std::invalid_argument);
   EXPECT_THROW(WlFeaturizer(-1), std::invalid_argument);
+  EXPECT_NO_THROW(WlFeaturizer(255));
+  EXPECT_THROW(WlFeaturizer(256), std::invalid_argument);  // depths are bytes
 }
 
 // The dictionary WlFeaturizer had before it keyed labels by integer tuple,
@@ -382,6 +397,42 @@ TEST(Wl, GoldenLabelIds) {
   h = fnv1a_word(h, feat.label_count());
   EXPECT_EQ(feat.label_count(), 26852u);
   EXPECT_EQ(h, 0x9d3de669402f649full);
+}
+
+TEST(Wl, WholeDesignSpacePartitionIsStableFromDepthFive) {
+  // Every topology of the design space through one featurizer at h = 7:
+  // the only test that grows the label index past a few ten thousand
+  // labels (1.62M). Depths 5, 6 and 7 hold equally many labels, and no
+  // depth-5 or depth-6 label splits one level deeper: every node with a
+  // given label at depth d carries one and the same label at depth d + 1.
+  // So a depth-6 count vector is the depth-5 one under a fixed renaming,
+  // and the h = 6 kernel is K_5 plus a second copy of the depth-5 block
+  // (docs/ALGORITHMS.md, WL depth).
+  constexpr int kDepth = 7;
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  WlFeaturizer feat(kDepth);
+  std::vector<std::uint32_t> deeper;  // depth-5/6 id -> its depth-6/7 id
+  for (const circuit::Topology& t : circuit::enumerate_design_space()) {
+    const auto levels =
+        feat.node_labels(circuit::build_circuit_graph(t), kDepth);
+    deeper.resize(feat.label_count(), kNone);
+    for (std::size_t d = 5; d < static_cast<std::size_t>(kDepth); ++d) {
+      for (std::size_t v = 0; v < levels[d].size(); ++v) {
+        std::uint32_t& next = deeper[levels[d][v]];
+        const auto id = static_cast<std::uint32_t>(levels[d + 1][v]);
+        if (next == kNone) next = id;
+        ASSERT_EQ(next, id) << "depth-" << d << " label " << levels[d][v]
+                            << " splits";
+      }
+    }
+  }
+  std::vector<std::size_t> per_depth(kDepth + 1, 0);
+  for (std::size_t id = 0; id < feat.label_count(); ++id) {
+    ++per_depth[static_cast<std::size_t>(feat.depth_of(id))];
+  }
+  EXPECT_EQ(per_depth, (std::vector<std::size_t>{29, 394, 15'784, 140'004,
+                                                  343'724, 374'676, 374'676,
+                                                  374'676}));
 }
 
 TEST(Wl, EmptyGraph) {

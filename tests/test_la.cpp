@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <vector>
 
 #include "la/cholesky.hpp"
 #include "la/eigen.hpp"
@@ -312,6 +315,51 @@ TEST(Cholesky, SolveInPlaceMatchesPerColumnSolve) {
                    std::invalid_argument);
       EXPECT_THROW(chol.solve_lower_in_place(lower, cols + 1),
                    std::invalid_argument);
+    }
+  }
+}
+
+TEST(Cholesky, GrowsInPlaceBitIdenticalToFreshFactorsThroughFailedAppends) {
+  // Rows 1..60 appended one at a time to an empty factor: at every order
+  // n, L and the bits of log_det() equal a from-scratch factorization of
+  // the leading n x n block. Every seventh order also meets an indefinite
+  // border (negative diagonal), which must throw and leave the order, L
+  // and log_det() as they were; the next valid append must still match.
+  intooa::util::Rng rng(83);
+  constexpr std::size_t kOrder = 60;
+  const MatrixD a = random_spd(kOrder, rng);
+  const auto leading = [&](std::size_t n) {
+    MatrixD block(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) block(i, j) = a(i, j);
+    }
+    return block;
+  };
+  const auto border = [&](std::size_t k) {
+    const auto row = a.row(k);
+    return std::vector<double>(row.begin(), row.begin() + k + 1);
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  auto grown = Cholesky::try_exact(MatrixD(0, 0));
+  ASSERT_TRUE(grown.has_value());
+  for (std::size_t n = 1; n <= kOrder; ++n) {
+    grown->append_row(border(n - 1));
+    const auto fresh = Cholesky::try_exact(leading(n));
+    ASSERT_TRUE(fresh.has_value());
+    ASSERT_EQ(grown->order(), n);
+    ASSERT_EQ(grown->lower(), fresh->lower()) << "order " << n;
+    ASSERT_EQ(bits(grown->log_det()), bits(fresh->log_det())) << "order " << n;
+
+    if (n % 7 == 0 && n < kOrder) {
+      std::vector<double> indefinite = border(n);
+      indefinite.back() = -1.0;
+      const MatrixD before = grown->lower();
+      const double log_det_before = grown->log_det();
+      EXPECT_THROW(grown->append_row(indefinite), SingularMatrixError);
+      ASSERT_EQ(grown->order(), n);
+      ASSERT_EQ(grown->lower(), before);
+      ASSERT_EQ(bits(grown->log_det()), bits(log_det_before));
     }
   }
 }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <pthread.h>
 #include <signal.h>
@@ -1120,6 +1122,41 @@ TEST(SvcSocket, UnknownFrameTypeIsRejectedBeforeDecode) {
   EXPECT_EQ(svc::read_frame(sv[0], frame, 2000), svc::ReadStatus::BadType);
   ::close(sv[0]);
   ::close(sv[1]);
+}
+
+// A TCP dial to a host that drops SYNs fails after its bound, not after the
+// kernel's SYN retries. A loopback listener with backlog 0 that never
+// accepts stands in for the blackholed host: once one connection waits in
+// its accept queue, the kernel drops every further SYN.
+TEST(SvcSocket, TcpDialToAHostThatDropsSynsFailsWithinItsBound) {
+  svc::Fd listener(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(listener.valid());
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener.get(), reinterpret_cast<sockaddr*>(&sa), sizeof sa),
+            0);
+  ASSERT_EQ(::listen(listener.get(), 0), 0);
+  socklen_t len = sizeof sa;
+  ASSERT_EQ(
+      ::getsockname(listener.get(), reinterpret_cast<sockaddr*>(&sa), &len), 0);
+  const svc::Address address = svc::Address::parse(
+      "tcp:127.0.0.1:" + std::to_string(ntohs(sa.sin_port)));
+
+  const svc::Fd queued = svc::connect_to(address);  // fills the queue
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    const svc::Fd dropped = svc::connect_to(address, 200);
+    FAIL() << "a dial past a full accept queue connected";
+  } catch (const svc::TransportError& error) {
+    EXPECT_EQ(error.kind(), svc::TransportError::Kind::Connect);
+    EXPECT_NE(std::string(error.what()).find("timed out"), std::string::npos)
+        << error.what();
+  }
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_LT(elapsed_ms, 900);  // the kernel's first SYN retry comes at 1 s
 }
 
 // Server side of the same defect: an unknown frame type after the
